@@ -1,9 +1,10 @@
 """Continuous batching vs static batching vs FCFS under Poisson load.
 
 Beyond-paper serving study: at equal throughput, iteration-level
-(continuous) batching strictly dominates static padded batching on mean
-latency, because requests join the running batch on arrival and leave at
-their own last token instead of waiting for the batch's longest member.
+(continuous) batching strictly dominates static batching on mean latency,
+because a request joins the running batch on arrival instead of waiting
+for the current batch to drain.  All three disciplines run through the
+same serving loop, so the comparison isolates the scheduling discipline.
 """
 
 from conftest import run_once

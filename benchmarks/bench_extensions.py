@@ -3,7 +3,9 @@
 * Speculative decoding on top of PowerInfer (the Section 9 integration the
   paper suggests as future work): speedup vs draft length and acceptance.
 * Serving under load: sustained request rate before queueing dominates,
-  PowerInfer vs llama.cpp (the deployment-level consequence of Figure 10).
+  PowerInfer vs llama.cpp (the deployment-level consequence of Figure 10),
+  with whole-request FCFS (``max_batch=1``) against static batching, both
+  run by the one serving loop.
 """
 
 import numpy as np
@@ -11,9 +13,13 @@ from conftest import run_once
 
 from repro.bench.runner import make_engine
 from repro.engine.speculative import SpeculativeEngine
-from repro.serving import poisson_arrivals, simulate_serving
-from repro.serving.batched import simulate_batched_serving
+from repro.serving import ContinuousServer, poisson_arrivals
 from repro.workloads import CHATGPT_PROMPTS
+
+# GPU memory withheld from neuron placement for KV cache: without it the
+# OPT-30B INT4 plan packs PC-Low's GPU and leaves ~2 MiB, less than one
+# request's reservation.
+KV_CARVE_BYTES = 0.5 * 2**30
 
 
 def run_speculative_grid(
@@ -44,14 +50,18 @@ def run_speculative_grid(
 def run_serving_saturation(rates_per_min=(1, 2, 6, 15)) -> list[dict]:
     rows = []
     for engine_name in ("powerinfer", "llama.cpp"):
-        engine = make_engine(engine_name, "opt-30b", "pc-low", "int4")
+        engine = make_engine(
+            engine_name, "opt-30b", "pc-low", "int4", kv_gpu_budget_bytes=KV_CARVE_BYTES
+        )
         for per_minute in rates_per_min:
             rng = np.random.default_rng(0)
             requests = poisson_arrivals(
                 CHATGPT_PROMPTS, rate=per_minute / 60.0, n_requests=30, rng=rng
             )
-            fcfs = simulate_serving(engine, requests)
-            batched = simulate_batched_serving(engine, requests, max_batch=8)
+            fcfs = ContinuousServer(engine, max_batch=1).run(requests)
+            batched = ContinuousServer(engine, policy="static", max_batch=8).run(
+                requests
+            )
             rows.append(
                 {
                     "engine": engine_name,

@@ -3,9 +3,11 @@
 
 Plays Poisson request streams (ChatGPT-prompts lengths, the paper's 8/128/512
 output mix) through a PowerInfer deployment of OPT-13B INT4 on PC-Low, and
-through llama.cpp on the same hardware, sweeping the arrival rate.  Reports
-user-visible latency percentiles and server utilization — the numbers that
-decide whether a local deployment feels interactive.
+through llama.cpp on the same hardware, sweeping the arrival rate.  Requests
+are served one at a time (the serving loop at ``max_batch=1``, the paper's
+batch-1 local setting).  Reports user-visible latency percentiles and server
+utilization — the numbers that decide whether a local deployment feels
+interactive.
 
 Usage::
 
@@ -16,11 +18,14 @@ import numpy as np
 
 from repro import PC_LOW
 from repro.bench.runner import make_engine
-from repro.serving import poisson_arrivals, simulate_serving
+from repro.serving import ContinuousServer, poisson_arrivals
 from repro.workloads import CHATGPT_PROMPTS
 
 MODEL = "opt-30b"
 N_REQUESTS = 40
+# GPU memory withheld from neuron placement for KV cache; without it the
+# plan packs the GPU and leaves no room for even one request's KV.
+KV_CARVE = 0.5 * 2**30
 
 
 def report_for(engine, rate: float, seed: int = 0):
@@ -33,15 +38,15 @@ def report_for(engine, rate: float, seed: int = 0):
         output_lengths=(8, 128, 512),
         output_weights=(0.2, 0.6, 0.2),
     )
-    return simulate_serving(engine, requests)
+    return ContinuousServer(engine, max_batch=1).run(requests)
 
 
 def main() -> None:
     print(f"Serving {MODEL} (INT4) on {PC_LOW.name}; "
           f"{N_REQUESTS} requests per trial\n")
     engines = {
-        "powerinfer": make_engine("powerinfer", MODEL, PC_LOW.name, "int4"),
-        "llama.cpp": make_engine("llama.cpp", MODEL, PC_LOW.name, "int4"),
+        name: make_engine(name, MODEL, PC_LOW.name, "int4", kv_gpu_budget_bytes=KV_CARVE)
+        for name in ("powerinfer", "llama.cpp")
     }
     print(f"{'engine':>10} | {'rate/min':>8} | {'util':>5} | "
           f"{'p50 lat':>8} | {'p95 lat':>8} | {'tok/s':>6}")

@@ -2,14 +2,16 @@
 
 The paper's batching result (Figure 14) is throughput at a fixed batch
 size; a serving deployment instead faces a request *stream*.  This driver
-plays identical Poisson streams through the three schedulers the serving
-subsystem offers — whole-request FCFS, static padded batching, and
-iteration-level continuous batching — across arrival rates, and reports
-the user-facing metrics (mean/p99 latency, TTFT, TBT, goodput) that show
-why production systems schedule at token granularity.
+plays identical Poisson streams through three serving disciplines —
+whole-request FCFS (``max_batch=1``), static batching (the ``static``
+policy: admit only into an empty batch), and iteration-level continuous
+batching — across arrival rates, and reports the user-facing metrics
+(mean/p99 latency, TTFT, TBT, goodput) that show why production systems
+schedule at token granularity.
 
-All three schedulers see the same engine and the same streams, so the
-comparison isolates the scheduling discipline.
+All three run through the same serving loop over the same engine and
+streams, so every metric is priced by the same code and the comparison
+isolates the scheduling discipline.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.runner import make_engine
-from repro.serving import (
-    SLO,
-    poisson_arrivals,
-    simulate_batched_serving,
-    simulate_continuous_serving,
-    simulate_serving,
-)
+from repro.serving import SLO, ContinuousServer, poisson_arrivals
 from repro.workloads import CHATGPT_PROMPTS
 
 __all__ = ["ARRIVAL_RATES", "run_continuous_batching"]
@@ -36,10 +32,12 @@ MAX_BATCH = 8
 KV_CARVE_BYTES = 1.0 * 2**30
 ARRIVAL_RATES = (0.1, 0.3, 1.0)
 DEFAULT_SLO = SLO(ttft_target=5.0, tbt_target=0.5)
-
-
-def _mean_latency(report) -> float:
-    return float(np.mean([c.latency for c in report.completed]))
+# (row label, scheduler policy, batch cap)
+SCHEDULERS = (
+    ("fcfs", "fcfs", 1),
+    ("static-batch", "static", MAX_BATCH),
+    ("continuous", "fcfs", MAX_BATCH),
+)
 
 
 def run_continuous_batching() -> list[dict]:
@@ -55,37 +53,21 @@ def run_continuous_batching() -> list[dict]:
             n_requests=N_REQUESTS,
             rng=np.random.default_rng(1234),
         )
-        fcfs = simulate_serving(engine, requests)
-        static = simulate_batched_serving(engine, requests, max_batch=MAX_BATCH)
-        cont = simulate_continuous_serving(engine, requests, max_batch=MAX_BATCH)
-
-        # Whole-request schedulers deliver all tokens at completion, so the
-        # first token arrives with the last: TTFT equals latency.
-        for name, report in (("fcfs", fcfs), ("static-batch", static)):
+        for name, policy, max_batch in SCHEDULERS:
+            report = ContinuousServer(engine, policy=policy, max_batch=max_batch).run(
+                requests
+            )
             rows.append(
                 {
                     "rate_rps": rate,
                     "scheduler": name,
-                    "mean_latency_s": _mean_latency(report),
+                    "mean_latency_s": report.mean_latency,
                     "p99_latency_s": report.latency_percentile(99),
-                    "mean_ttft_s": _mean_latency(report),
-                    "p99_tbt_ms": float("nan"),
+                    "mean_ttft_s": report.mean_ttft,
+                    "p99_tbt_ms": report.tbt_percentile(99) * 1e3,
                     "tokens_per_s": report.tokens_per_second,
-                    "goodput_rps": float("nan"),
+                    "goodput_rps": report.goodput(DEFAULT_SLO),
                     "utilization": report.utilization,
                 }
             )
-        rows.append(
-            {
-                "rate_rps": rate,
-                "scheduler": "continuous",
-                "mean_latency_s": cont.mean_latency,
-                "p99_latency_s": cont.latency_percentile(99),
-                "mean_ttft_s": cont.mean_ttft,
-                "p99_tbt_ms": cont.tbt_percentile(99) * 1e3,
-                "tokens_per_s": cont.tokens_per_second,
-                "goodput_rps": cont.goodput(DEFAULT_SLO),
-                "utilization": cont.utilization,
-            }
-        )
     return rows

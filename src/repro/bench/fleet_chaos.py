@@ -20,7 +20,7 @@ Scored on SLO goodput and deadline-miss rate over *submitted* requests,
 so neither router can look better by losing work.  Everything is seeded;
 two runs produce identical rows (asserted by the fleet chaos tests).
 The scenario builders here are also the canonical fleet fixtures for
-``repro verify-schedule`` (:mod:`repro.check.verify`) and CI's
+``repro check --only schedule`` (:mod:`repro.check.verify`) and CI's
 ``fleet-chaos-smoke`` job.
 """
 

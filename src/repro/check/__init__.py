@@ -15,8 +15,7 @@ devices, dependency order, cost-component accounting, KV-memory
 conservation, fault-epoch consistency, trace/report reconciliation);
 :mod:`repro.check.verify` sweeps those checks across the bench suite.
 :mod:`repro.check.report` merges everything into one schema.  CLI:
-``repro lint``, ``repro check-flow``, ``repro verify-schedule``, and the
-``repro check`` umbrella.
+``repro check [--only lint,flow,schedule]``.
 """
 
 from repro.check.flow import (
@@ -49,7 +48,7 @@ from repro.check.schedule import (
     validate_schedule,
     validate_server_run,
 )
-from repro.check.verify import format_verification, run_verification
+from repro.check.verify import run_verification
 
 __all__ = [
     "RULES",
@@ -74,6 +73,5 @@ __all__ = [
     "validate_kv_ledger",
     "validate_schedule",
     "validate_server_run",
-    "format_verification",
     "run_verification",
 ]

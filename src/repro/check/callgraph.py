@@ -1,6 +1,6 @@
 """AST-based project index and call graph for the flow passes.
 
-``repro check-flow`` needs whole-project context the per-file linter does
+``repro check --only flow`` needs whole-project context the per-file linter does
 not: which function a call site resolves to, what dimensions a callee's
 signature declares, which class an attribute chain lands on, and — for
 seed provenance — every call site of a given function together with its

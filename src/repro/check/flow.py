@@ -1,4 +1,4 @@
-"""Interprocedural flow analysis runner (`repro check-flow`).
+"""Interprocedural flow analysis runner (`repro check --only flow`).
 
 Orchestrates the whole-project passes over a file set:
 
@@ -19,7 +19,6 @@ a typo'd flow suppression is still reported exactly once.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,8 +32,6 @@ __all__ = [
     "FlowReport",
     "run_flow",
     "flow_report_as_dict",
-    "format_flow_text",
-    "flow_to_json",
 ]
 
 
@@ -136,20 +133,3 @@ def flow_report_as_dict(report: FlowReport) -> dict:
         "by_rule": dict(sorted(by_rule.items())),
         "violations": [v.to_dict() for v in report.violations],
     }
-
-
-def format_flow_text(report: FlowReport) -> str:
-    """Human-readable report, one violation per line."""
-    lines = [v.format() for v in report.violations]
-    verdict = "OK" if report.ok else "FAIL"
-    lines.append(
-        f"{verdict}: {len(report.violations)} violation(s) in "
-        f"{report.n_files} file(s) "
-        f"({report.n_functions} function(s), {report.n_call_edges} call "
-        f"edge(s), {report.n_task_sites} task site(s))"
-    )
-    return "\n".join(lines)
-
-
-def flow_to_json(report: FlowReport) -> str:
-    return json.dumps(flow_report_as_dict(report), indent=2) + "\n"

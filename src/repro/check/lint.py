@@ -19,15 +19,14 @@ line with an inline comment::
 
 Everything after ``--`` is a free-form justification.  Suppressions that
 name an unknown rule are themselves reported (rule ``bad-suppression``),
-so typos cannot silently disable a check.  Run via ``repro lint`` (see
-docs/static_analysis.md for the rule catalogue).
+so typos cannot silently disable a check.  Run via ``repro check --only
+lint`` (see docs/static_analysis.md for the rule catalogue).
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass
@@ -43,7 +42,6 @@ __all__ = [
     "lint_paths",
     "iter_python_files",
     "report_as_dict",
-    "format_text",
 ]
 
 # Rule id -> one-line description.  docs/static_analysis.md carries the
@@ -52,7 +50,6 @@ RULES: dict[str, str] = {
     "wall-clock": "wall-clock time source; simulation code must use the simulated clock",
     "stdlib-random": "stdlib `random` module; use an explicitly seeded np.random.Generator",
     "np-legacy-random": "legacy np.random module-level call; use np.random.default_rng(seed)",
-    "unseeded-rng": "np.random.default_rng() without a seed is nondeterministic",
     "float-time-eq": "float ==/!= on simulated times or durations; compare with a tolerance",
     "inline-sim-task": "SimTask constructed inline; price tasks via op_task/transfer_task",
     "tracer-default": "tracer parameters must default to None (NullTracer-compatible)",
@@ -277,15 +274,7 @@ class _RuleVisitor(ast.NodeVisitor):
         parts = chain.split(".")
         if len(parts) == 3 and parts[0] in ("np", "numpy") and parts[1] == "random":
             fn = parts[2]
-            if fn == "default_rng":
-                if not node.args and not node.keywords:
-                    self._emit(
-                        "unseeded-rng",
-                        node,
-                        "np.random.default_rng() without a seed draws OS "
-                        "entropy — pass an explicit seed",
-                    )
-            elif fn not in _NP_RANDOM_ALLOWED:
+            if fn not in _NP_RANDOM_ALLOWED:
                 self._emit(
                     "np-legacy-random",
                     node,
@@ -479,7 +468,7 @@ def lint_source(
         if v.rule not in suppressions.get(v.line, [])
     ]
     # Suppressions are validated against every rule any check tool can
-    # emit (lint + the check-flow passes share the comment syntax), so a
+    # emit (lint + the flow passes share the comment syntax), so a
     # flow-rule suppression does not trip the linter — but a typo still
     # does.
     suppressible = (set(RULES) | set(FLOW_RULES)) - set(_META_RULES)
@@ -538,18 +527,3 @@ def report_as_dict(violations: Sequence[LintViolation], n_files: int) -> dict:
         "by_rule": dict(sorted(by_rule.items())),
         "violations": [v.to_dict() for v in violations],
     }
-
-
-def format_text(violations: Sequence[LintViolation], n_files: int) -> str:
-    """Human-readable lint report."""
-    lines = [v.format() for v in violations]
-    if violations:
-        lines.append(f"{len(violations)} violation(s) across {n_files} file(s)")
-    else:
-        lines.append(f"OK: {n_files} file(s), no violations")
-    return "\n".join(lines)
-
-
-def to_json(violations: Sequence[LintViolation], n_files: int) -> str:
-    """The JSON report as a string."""
-    return json.dumps(report_as_dict(violations, n_files), indent=2) + "\n"

@@ -12,7 +12,7 @@ vice versa.  This module is that universe's neutral ground: it has no
 imports, so both tools can depend on it without cycles.
 
 ``bad-suppression`` itself is emitted only by the linter (which always
-runs alongside check-flow in ``repro check`` and CI), so a typo'd flow
+runs alongside the flow passes in a full ``repro check`` and CI), so a typo'd flow
 suppression is still caught exactly once.
 """
 

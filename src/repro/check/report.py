@@ -1,11 +1,11 @@
-"""Unified check report: one schema over lint + flow + verify-schedule.
+"""Unified check report: one schema over lint + flow + schedule verification.
 
 The three check tools grew three ad-hoc report shapes: the linter's
 ``{rule, path, line, col}`` records, the flow passes' identical shape,
 and the schedule validator's ``{check, task, time}`` records nested in
-per-case documents.  ``repro check`` runs all three and merges them into
-one document with one violation schema, so CI and humans consume a
-single artifact:
+per-case documents.  ``repro check`` runs them (all three, or the subset
+named by ``--only``) and merges them into one document with one violation
+schema, so CI and humans consume a single artifact:
 
 * :class:`CheckViolation` — the shared violation record.  Static
   findings carry ``path``/``line``/``col``; dynamic findings carry
@@ -14,8 +14,8 @@ single artifact:
 * :class:`CheckReport` — the merged document: per-tool summaries plus
   the flat ordered violation list.
 
-Exit-code contract (shared by ``repro lint`` / ``check-flow`` /
-``check``): 0 clean, 1 violations found, 2 usage error.
+Exit-code contract of ``repro check``: 0 clean, 1 violations found,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 __all__ = [
+    "CHECK_TOOLS",
     "CheckViolation",
     "ToolReport",
     "CheckReport",
@@ -33,6 +34,10 @@ __all__ = [
     "format_check_text",
     "check_to_json",
 ]
+
+
+# The tools ``repro check`` can run, in report order.
+CHECK_TOOLS = ("lint", "flow", "schedule")
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class CheckViolation:
     path: str | None = None
     line: int | None = None
     col: int | None = None
-    case: str | None = None  # verify-schedule case id
+    case: str | None = None  # schedule-verification case id
     task: str | None = None
     time: float | None = None
 
@@ -202,19 +207,46 @@ def _schedule_tool(quick: bool) -> ToolReport:
 def run_check(
     paths: Sequence[Path | str],
     *,
-    lint_rules: Iterable[str] | None = None,
-    flow_rules: Iterable[str] | None = None,
-    with_schedule: bool = True,
+    only: Iterable[str] = CHECK_TOOLS,
+    rules: Iterable[str] | None = None,
     quick: bool = True,
 ) -> CheckReport:
-    """Run lint + check-flow (+ verify-schedule) and merge the reports.
+    """Run the selected check tools and merge their reports.
 
-    ``with_schedule=False`` skips the dynamic sweep (it simulates the
-    whole bench grid, which is seconds of work vs. the static passes'
-    milliseconds); ``quick`` selects the reduced verification grid.
+    ``only`` names the tools to run (a subset of :data:`CHECK_TOOLS`;
+    reports follow that tuple's order).  ``rules`` restricts the static
+    passes to the named lint and flow rules; each pass runs the names it
+    owns.  The schedule tool simulates the whole bench grid, seconds of
+    work vs. the static passes' milliseconds; ``quick`` selects its
+    reduced grid.
+
+    Raises:
+        ValueError: On an unknown tool or rule name, or no tool at all (a
+            check that runs nothing must not pass).
     """
-    tools = [_lint_tool(paths, lint_rules), _flow_tool(paths, flow_rules)]
-    if with_schedule:
+    from repro.check.lint import RULES
+    from repro.check.registry import FLOW_RULES, all_rule_names
+
+    selected = set(only)
+    if not selected or not selected <= set(CHECK_TOOLS):
+        raise ValueError(
+            f"check tools must be a non-empty subset of {CHECK_TOOLS}, "
+            f"got {sorted(selected)}"
+        )
+    lint_rules = flow_rules = None
+    if rules is not None:
+        rules = list(rules)
+        unknown = sorted(set(rules) - all_rule_names())
+        if unknown:
+            raise ValueError(f"unknown rules: {unknown}")
+        lint_rules = [r for r in rules if r in RULES]
+        flow_rules = [r for r in rules if r in FLOW_RULES]
+    tools = []
+    if "lint" in selected:
+        tools.append(_lint_tool(paths, lint_rules))
+    if "flow" in selected:
+        tools.append(_flow_tool(paths, flow_rules))
+    if "schedule" in selected:
         tools.append(_schedule_tool(quick))
     return CheckReport(tools=tools)
 

@@ -23,7 +23,7 @@ All checks report, they do not repair: each problem becomes a
 :class:`Violation` carrying the offending task id and simulated
 timestamp.  ``require_valid`` turns a non-empty violation list into a
 :class:`ScheduleValidationError`.  Engines and the serving loop expose
-this as an opt-in ``validate=True`` hook; ``repro verify-schedule`` runs
+this as an opt-in ``validate=True`` hook; ``repro check --only schedule`` runs
 it across the bench-suite engine × machine grid.
 """
 

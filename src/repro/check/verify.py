@@ -1,4 +1,4 @@
-"""Run the schedule validator across the bench suite (`repro verify-schedule`).
+"""Run the schedule validator across the bench suite (`repro check --only schedule`).
 
 Sweeps the canonical benchmark grid — every registered engine on the
 bench-suite (model, machine, dtype) combinations — validating a prompt
@@ -19,12 +19,11 @@ as skipped, not failed.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator
 
 from repro.check.schedule import ScheduleValidationError, validate_schedule
 
-__all__ = ["run_verification", "format_verification", "verification_to_json"]
+__all__ = ["run_verification"]
 
 # One schedule per phase shape: prompt prefill, single-token decode, and
 # a batched decode (the shapes continuous batching actually issues).
@@ -312,31 +311,3 @@ def run_verification(quick: bool = False) -> dict:
         "n_violations": n_violations,
         "cases": cases,
     }
-
-
-def format_verification(document: dict) -> str:
-    """Human-readable verification report."""
-    lines: list[str] = []
-    for case in document["cases"]:
-        status = case["status"]
-        note = ""
-        if status == "skipped":
-            note = f" ({case['reason']})"
-        elif status == "fail":
-            note = f" ({len(case['violations'])} violation(s))"
-        lines.append(f"{status:>7}  {case['case']}{note}")
-        for v in case["violations"]:
-            where = f" task={v['task']}" if v.get("task") is not None else ""
-            when = f" t={v['time']:.6g}s" if v.get("time") is not None else ""
-            lines.append(f"         - {v['check']}:{where}{when} {v['message']}")
-    verdict = "OK" if document["ok"] else "FAIL"
-    lines.append(
-        f"{verdict}: {document['n_cases']} case(s), "
-        f"{document['n_skipped']} skipped, "
-        f"{document['n_violations']} violation(s) [{document['suite']} suite]"
-    )
-    return "\n".join(lines)
-
-
-def verification_to_json(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"

@@ -11,9 +11,15 @@ Subcommands::
     repro plan      --model opt-30b --machine pc-high --out plan.npz
                                          run the offline phase, save the plan
     repro figure    fig05 [...]          regenerate one paper figure/table
-    repro chaos     --model opt-6.7b --machine pc-low [--fault-seed 7]
-                                         serve under injected faults, naive
-                                         vs degradation-aware side by side
+    repro serve     --model opt-6.7b --machine pc-low [--scheduler chunked]
+                    [--max-batch 1] [--faults canonical] [--trace run.json]
+                                         serve a Poisson stream through the
+                                         serving loop (--max-batch 1 is
+                                         whole-request FCFS, --scheduler
+                                         static is static batching); a fault
+                                         schedule compares naive vs
+                                         degradation-aware serving, --trace
+                                         exports Chrome trace / JSONL / PNG
     repro fleet     [--policy least-loaded] [--no-failover] [--disaggregate]
                                          run the canonical 3-replica fleet
                                          chaos scenario, validate it, and
@@ -31,9 +37,8 @@ Subcommands::
                                          --fleet meters the chaos fleet
                                          scenario and reconciles the
                                          ledger against the power meter
-    repro trace     --model opt-6.7b --machine pc-low --out run.trace.json
-                                         serve one traced stream and export a
-                                         Chrome trace / JSONL / timeline PNG
+    repro bounds    --model opt-30b --machine pc-high
+                                         analytic roofline throughput bounds
     repro attribution --model opt-6.7b --machine pc-low
                                          decompose one iteration: roofline
                                          components, critical path, what-if
@@ -44,18 +49,13 @@ Subcommands::
                                          re-run the suite, diff against the
                                          committed baseline, exit non-zero on
                                          regression
-    repro lint [paths ...] [--format json] [--out report.json]
-                                         static simulation-discipline lint
-                                         (custom AST rules over src/repro)
-    repro check-flow [paths ...] [--rules ...] [--format json] [--out report.json]
-                                         interprocedural units/dimension and
-                                         seed-provenance analysis
-    repro verify-schedule [--quick] [--format json] [--out report.json]
-                                         replay bench-suite schedules against
-                                         the simulator invariants
-    repro check [paths ...] [--json-out report.json] [--skip-verify] [--full]
-                                         umbrella: lint + check-flow +
-                                         verify-schedule, one merged report
+    repro check [paths ...] [--only lint,flow,schedule] [--rules ...]
+                [--json-out report.json] [--full]
+                                         simulation-discipline lint,
+                                         interprocedural units and seed-
+                                         provenance analysis, and schedule
+                                         replay over the bench grid, in one
+                                         merged report
 
 Also runnable as ``python -m repro.cli ...``.
 """
@@ -94,6 +94,7 @@ from repro.bench import (
 )
 from repro.bench.report import format_table
 from repro.bench.runner import ENGINE_CLASSES, make_engine
+from repro.check.report import CHECK_TOOLS
 from repro.core.pipeline import POLICIES, build_plan
 from repro.engine.plan_io import save_plan
 from repro.hardware.memory import OutOfMemoryError
@@ -101,6 +102,7 @@ from repro.hardware.spec import MACHINE_PRESETS
 from repro.models.config import MODEL_PRESETS
 from repro.quant.formats import DTYPE_PRESETS
 from repro.serving.fleet.policies import ROUTER_POLICIES
+from repro.serving.policies import SERVING_POLICIES
 
 __all__ = ["main", "FIGURES"]
 
@@ -167,24 +169,25 @@ def _build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="regenerate one paper figure/table")
     fig.add_argument("name", choices=sorted(FIGURES))
 
-    serve = sub.add_parser("serve", help="simulate a Poisson request stream")
+    serve = sub.add_parser(
+        "serve", help="serve a Poisson request stream through the serving loop"
+    )
     add_common(serve)
     serve.add_argument("--engine", default="powerinfer", choices=sorted(ENGINE_CLASSES))
     serve.add_argument("--rate", type=float, default=0.1, help="requests/second")
     serve.add_argument("--requests", type=int, default=30)
     serve.add_argument(
-        "--mode",
-        default="fcfs",
-        choices=("fcfs", "batched", "continuous"),
-        help="scheduling granularity: whole-request FCFS, static padded "
-        "batches, or iteration-level continuous batching",
+        "--max-batch",
+        type=int,
+        default=8,
+        dest="max_batch",
+        help="concurrently running requests; 1 serves whole requests FCFS",
     )
-    serve.add_argument("--max-batch", type=int, default=8, dest="max_batch")
     serve.add_argument(
         "--scheduler",
         default="fcfs",
-        choices=("fcfs", "prefill-first", "chunked"),
-        help="continuous-batching iteration policy",
+        choices=sorted(SERVING_POLICIES),
+        help="iteration policy; 'static' admits only into an empty batch",
     )
     serve.add_argument(
         "--chunk-tokens",
@@ -198,50 +201,60 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         dest="kv_gib",
-        help="GPU memory carved out for KV cache (continuous mode)",
+        help="KV-cache budget: withheld from neuron placement at plan time "
+        "and used as the admission budget",
     )
     serve.add_argument("--slo-ttft", type=float, default=2.0, dest="slo_ttft")
     serve.add_argument("--slo-tbt", type=float, default=1.0, dest="slo_tbt")
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="serve a stream under injected faults, naive vs degradation-aware",
+    robust = serve.add_argument_group("faults and tracing")
+    robust.add_argument(
+        "--faults",
+        default=None,
+        help="fault schedule: a JSON fault-event file (see docs/serving.md), "
+        "'canonical' for the degrade/squeeze/stall timeline, or 'none'; "
+        "with a schedule, naive and degradation-aware serving are compared",
     )
-    add_common(chaos)
-    chaos.add_argument("--engine", default="powerinfer", choices=sorted(ENGINE_CLASSES))
-    chaos.add_argument("--rate", type=float, default=0.9, help="requests/second")
-    chaos.add_argument("--requests", type=int, default=48)
-    chaos.add_argument(
+    robust.add_argument(
         "--fault-seed",
         type=int,
         default=None,
         dest="fault_seed",
-        help="generate a random fault schedule from this seed "
-        "(default: the canonical degrade/squeeze/stall timeline)",
+        help="generate a random fault schedule from this seed",
     )
-    chaos.add_argument(
-        "--faults",
-        default=None,
-        help="JSON file with a fault-event list (see docs/serving.md)",
-    )
-    chaos.add_argument(
+    robust.add_argument(
         "--deadline",
         type=float,
-        default=12.0,
+        default=None,
         help="per-request completion deadline, seconds after arrival",
     )
-    chaos.add_argument("--max-batch", type=int, default=8, dest="max_batch")
-    chaos.add_argument(
-        "--kv-gib",
-        type=float,
-        default=0.35,
-        dest="kv_gib",
-        help="GPU memory carved out for the KV-cache admission budget",
+    robust.add_argument(
+        "--max-queue",
+        type=int,
+        default=None,
+        dest="max_queue",
+        help="admission-queue bound; later arrivals are shed",
     )
-    chaos.add_argument("--max-queue", type=int, default=16, dest="max_queue")
-    chaos.add_argument("--max-retries", type=int, default=2, dest="max_retries")
-    chaos.add_argument("--slo-ttft", type=float, default=6.0, dest="slo_ttft")
-    chaos.add_argument("--slo-tbt", type=float, default=0.020, dest="slo_tbt")
+    robust.add_argument("--max-retries", type=int, default=2, dest="max_retries")
+    robust.add_argument(
+        "--trace",
+        default=None,
+        help="write a Chrome trace_event JSON of the run (open in Perfetto)",
+    )
+    robust.add_argument(
+        "--jsonl",
+        default=None,
+        help="with --trace: also write the event log as JSONL",
+    )
+    robust.add_argument(
+        "--png",
+        default=None,
+        help="with --trace: also render a timeline figure (requires matplotlib)",
+    )
+    robust.add_argument(
+        "--summary",
+        default=None,
+        help="with --trace: also write the report + telemetry summary as JSON",
+    )
 
     def add_fleet_scenario_flags(p: argparse.ArgumentParser) -> None:
         """Canonical fleet-chaos scenario knobs, shared by every subcommand
@@ -383,65 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the sampled watt lanes as JSONL (--fleet only)",
     )
 
-    trace = sub.add_parser(
-        "trace",
-        help="serve one traced request stream and export the telemetry",
-    )
-    add_common(trace)
-    trace.add_argument("--engine", default="powerinfer", choices=sorted(ENGINE_CLASSES))
-    trace.add_argument("--rate", type=float, default=0.9, help="requests/second")
-    trace.add_argument("--requests", type=int, default=48)
-    trace.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        dest="fault_seed",
-        help="generate a random fault schedule from this seed "
-        "(default: the canonical degrade/squeeze/stall timeline)",
-    )
-    trace.add_argument(
-        "--faults",
-        default=None,
-        help="JSON file with a fault-event list (see docs/serving.md); "
-        "'none' disables fault injection",
-    )
-    trace.add_argument(
-        "--deadline",
-        type=float,
-        default=12.0,
-        help="per-request completion deadline, seconds after arrival",
-    )
-    trace.add_argument("--max-batch", type=int, default=8, dest="max_batch")
-    trace.add_argument(
-        "--kv-gib",
-        type=float,
-        default=0.35,
-        dest="kv_gib",
-        help="GPU memory carved out for the KV-cache admission budget",
-    )
-    trace.add_argument("--max-queue", type=int, default=16, dest="max_queue")
-    trace.add_argument("--max-retries", type=int, default=2, dest="max_retries")
-    trace.add_argument(
-        "--out",
-        default="trace.json",
-        help="Chrome trace_event JSON output path (open in Perfetto)",
-    )
-    trace.add_argument(
-        "--jsonl",
-        default=None,
-        help="also write the event log as JSONL (one object per line)",
-    )
-    trace.add_argument(
-        "--png",
-        default=None,
-        help="also render a timeline/Gantt figure (requires matplotlib)",
-    )
-    trace.add_argument(
-        "--summary",
-        default=None,
-        help="also write the serving report + telemetry summary as JSON",
-    )
-
     bounds = sub.add_parser("bounds", help="analytic roofline throughput bounds")
     add_common(bounds)
 
@@ -485,54 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--report", default=None, help="also write the structured diff as JSON"
     )
 
-    lint = sub.add_parser(
-        "lint", help="static simulation-discipline lint (custom AST rules)"
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument("--format", default="text", choices=("text", "json"))
-    lint.add_argument("--out", default=None, help="also write the JSON report here")
-    lint.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated subset of rules to run (default: all)",
-    )
-
-    verify = sub.add_parser(
-        "verify-schedule",
-        help="replay bench-suite schedules against the simulator invariants",
-    )
-    verify.add_argument(
-        "--quick", action="store_true", help="small grid (tests / local iteration)"
-    )
-    verify.add_argument("--format", default="text", choices=("text", "json"))
-    verify.add_argument("--out", default=None, help="also write the JSON report here")
-
-    flow = sub.add_parser(
-        "check-flow",
-        help="interprocedural units/dimension + seed-provenance analysis",
-    )
-    flow.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to analyze as one project (default: src/repro)",
-    )
-    flow.add_argument("--format", default="text", choices=("text", "json"))
-    flow.add_argument("--out", default=None, help="also write the JSON report here")
-    flow.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated subset of flow rules to run (default: all)",
-    )
-
     check = sub.add_parser(
         "check",
-        help="umbrella: lint + check-flow + verify-schedule, one merged report",
+        help="lint, flow analysis and schedule verification, one merged report",
     )
     check.add_argument(
         "paths",
@@ -540,14 +449,19 @@ def _build_parser() -> argparse.ArgumentParser:
         default=["src/repro"],
         help="files or directories for the static passes (default: src/repro)",
     )
+    check.add_argument(
+        "--only",
+        default=",".join(CHECK_TOOLS),
+        help="comma-separated subset of lint,flow,schedule to run (default: all)",
+    )
+    check.add_argument(
+        "--rules",
+        default=None,
+        help="comma-separated lint/flow rules to run (default: all)",
+    )
     check.add_argument("--format", default="text", choices=("text", "json"))
     check.add_argument(
         "--json-out", default=None, help="write the merged JSON report here"
-    )
-    check.add_argument(
-        "--skip-verify",
-        action="store_true",
-        help="static passes only (skip the bench-grid schedule replay)",
     )
     check.add_argument(
         "--full",
@@ -650,47 +564,134 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_faults(args: argparse.Namespace):
+    """Resolve --faults / --fault-seed into a FaultSchedule (or None).
+
+    Raises ValueError on conflicting or unreadable inputs.  ``--faults
+    canonical`` is the degrade/squeeze/stall timeline of the fault-tolerance
+    study; ``--faults none`` (like omitting both flags) injects nothing.
+    """
+    import json
+
+    from repro.bench.fault_tolerance import default_fault_schedule
+    from repro.hardware.faults import FaultSchedule
+
+    if args.faults is not None and args.fault_seed is not None:
+        raise ValueError("--faults and --fault-seed are mutually exclusive")
+    if args.fault_seed is not None:
+        horizon = args.requests / args.rate
+        return FaultSchedule.from_seed(args.fault_seed, horizon=horizon)
+    if args.faults in (None, "none"):
+        return None
+    if args.faults == "canonical":
+        return default_fault_schedule()
+    try:
+        with open(args.faults) as fh:
+            return FaultSchedule.from_dicts(json.load(fh))
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{args.faults}: {exc}") from None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.serving import (
-        SLO,
-        poisson_arrivals,
-        simulate_batched_serving,
-        simulate_continuous_serving,
-        simulate_serving,
-    )
+    from repro.serving import SLO, ContinuousServer, make_policy, poisson_arrivals
+    from repro.telemetry import Tracer
     from repro.workloads import CHATGPT_PROMPTS
 
-    kv_carve = args.kv_gib * 2**30 if args.mode == "continuous" else 0.0
-    engine = make_engine(
-        args.engine,
-        args.model,
-        args.machine,
-        args.dtype,
-        seed=args.seed,
-        kv_gpu_budget_bytes=kv_carve,
-    )
-    requests = poisson_arrivals(
-        CHATGPT_PROMPTS,
-        rate=args.rate,
-        n_requests=args.requests,
-        rng=np.random.default_rng(args.seed),
-    )
-    header = f"{args.engine} / {args.model} / {args.machine} [{args.mode}]"
-    if args.mode == "continuous":
-        report = simulate_continuous_serving(
-            engine,
-            requests,
-            policy=args.scheduler,
-            max_batch=args.max_batch,
-            max_prefill_tokens=args.chunk_tokens,
+    header = f"{args.engine} / {args.model} / {args.machine} ({args.dtype})"
+    kv_budget = args.kv_gib * 2**30
+    try:
+        if args.requests < 1:
+            raise ValueError("--requests must be >= 1")
+        if args.rate <= 0:
+            raise ValueError("--rate must be positive")
+        if args.max_batch < 1:
+            raise ValueError("--max-batch must be >= 1")
+        if kv_budget <= 0:
+            raise ValueError("--kv-gib must be positive")
+        if args.trace is None and (args.jsonl or args.png or args.summary):
+            raise ValueError("--jsonl, --png and --summary require --trace")
+        faults = _load_faults(args)
+        policy_kwargs = (
+            {"max_prefill_tokens": args.chunk_tokens}
+            if args.scheduler == "chunked"
+            else {}
         )
-        slo = SLO(ttft_target=args.slo_ttft, tbt_target=args.slo_tbt)
+        policy = make_policy(args.scheduler, **policy_kwargs)
+        requests = poisson_arrivals(
+            CHATGPT_PROMPTS,
+            rate=args.rate,
+            n_requests=args.requests,
+            rng=np.random.default_rng(args.seed),
+            deadline=args.deadline,
+        )
+        engine = make_engine(
+            args.engine,
+            args.model,
+            args.machine,
+            args.dtype,
+            seed=args.seed,
+            kv_gpu_budget_bytes=kv_budget,
+        )
+        tracer = Tracer() if args.trace is not None else None
+        # A fault schedule adds a naive (non-adapting) server as the
+        # reference; the degradation-aware server is traced and reported.
+        servers = [
+            ContinuousServer(
+                engine,
+                policy=policy,
+                max_batch=args.max_batch,
+                kv_budget_bytes=kv_budget,
+                faults=faults,
+                deadline=args.deadline,
+                max_retries=args.max_retries,
+                max_queue=args.max_queue,
+                degradation=degradation,
+                tracer=tracer if degradation else None,
+            )
+            for degradation in ((False, True) if faults is not None else (True,))
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+    slo = SLO(ttft_target=args.slo_ttft, tbt_target=args.slo_tbt)
+    reports = [server.run(requests) for server in servers]
+    report = reports[-1]
+    if faults is not None:
+        events = ", ".join(
+            f"{e.kind}@{e.start:.1f}s x{e.duration:.1f}s (mag {e.magnitude:.2g})"
+            for e in faults.events
+        )
+        deadline = f"{args.deadline:.3g}s" if args.deadline is not None else "none"
+        rows = [
+            {
+                "server": "degraded" if server.degradation else "naive",
+                "slo_attainment": rep.slo_attainment_overall(slo),
+                "completed": len(rep.completed),
+                "timed_out": len(rep.timed_out),
+                "shed": len(rep.shed),
+                "failed": len(rep.failed),
+                "aborts": rep.n_aborts,
+                "retries": rep.n_retries,
+                "degraded_s": rep.time_in_degraded_mode,
+            }
+            for server, rep in zip(servers, reports)
+        ]
+        print(f"fault schedule: {events or 'empty'}")
         print(
-            f"{header}: served {report.n_requests} requests at "
-            f"{args.rate:.3g}/s with {args.scheduler} scheduling — "
-            f"utilization {report.utilization:.0%}, "
+            format_table(
+                rows,
+                f"{header} under faults — SLO ttft<={args.slo_ttft:.3g}s "
+                f"tbt<={args.slo_tbt:.3g}s, deadline {deadline}",
+            )
+        )
+    elif report.completed:
+        print(
+            f"{header}: served {report.n_requests}/{report.n_submitted} requests "
+            f"at {args.rate:.3g}/s, {args.scheduler} scheduling, max batch "
+            f"{args.max_batch} — utilization {report.utilization:.0%}, "
             f"p50 latency {report.latency_percentile(50):.1f} s, "
             f"p95 {report.latency_percentile(95):.1f} s, "
             f"{report.tokens_per_second:.1f} tokens/s aggregate"
@@ -704,113 +705,55 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"attainment {report.slo_attainment(slo):.0%}, "
             f"goodput {report.goodput(slo):.2f} req/s"
         )
-        return 0
-    if args.mode == "batched":
-        report = simulate_batched_serving(engine, requests, max_batch=args.max_batch)
     else:
-        report = simulate_serving(engine, requests)
-    print(
-        f"{header}: served "
-        f"{report.n_requests} requests at {args.rate:.3g}/s — "
-        f"utilization {report.utilization:.0%}, "
-        f"p50 latency {report.latency_percentile(50):.1f} s, "
-        f"p95 {report.latency_percentile(95):.1f} s, "
-        f"{report.tokens_per_second:.1f} tokens/s aggregate"
-    )
+        print(
+            f"{header}: none of {report.n_submitted} requests completed "
+            f"({len(report.timed_out)} timed out, {len(report.shed)} shed, "
+            f"{len(report.failed)} failed)"
+        )
+    if tracer is not None:
+        _write_trace(args, tracer, report, header)
     return 0
 
 
-def _load_faults(args: argparse.Namespace):
-    """Resolve --faults / --fault-seed into a FaultSchedule (or None).
-
-    Shared by ``chaos`` and ``trace``.  Raises ValueError on conflicting
-    or unreadable inputs; the literal ``--faults none`` disables
-    injection entirely.
-    """
+def _write_trace(args: argparse.Namespace, tracer, report, title: str) -> None:  # repro-lint: disable=tracer-default -- exporter; only called after a traced run
+    """Export a traced serve run: Chrome trace plus the optional extras."""
     import json
 
-    from repro.bench.fault_tolerance import default_fault_schedule
-    from repro.hardware.faults import FaultSchedule
+    from repro.serving.metrics import merge_busy_intervals
+    from repro.telemetry import save_chrome_trace, save_jsonl
 
-    if args.faults is not None and args.fault_seed is not None:
-        raise ValueError("--faults and --fault-seed are mutually exclusive")
-    if args.faults is not None:
-        if args.faults == "none":
-            return None
+    save_chrome_trace(tracer, args.trace)
+    outputs = [args.trace]
+    if args.jsonl is not None:
+        save_jsonl(tracer, args.jsonl)
+        outputs.append(args.jsonl)
+    if args.summary is not None:
+        summary = tracer.metrics.merge_into(report.to_dict())
+        with open(args.summary, "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
+        outputs.append(args.summary)
+    if args.png is not None:
+        from repro.telemetry.timeline import MissingDependencyError, plot_timeline
+
         try:
-            with open(args.faults) as fh:
-                return FaultSchedule.from_dicts(json.load(fh))
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{args.faults}: {exc}") from None
-    if args.fault_seed is not None:
-        horizon = args.requests / args.rate
-        return FaultSchedule.from_seed(args.fault_seed, horizon=horizon)
-    return default_fault_schedule()
+            plot_timeline(tracer, args.png, title=title)
+            outputs.append(args.png)
+        except MissingDependencyError as exc:
+            print(f"warning: skipped {args.png}: {exc}", file=sys.stderr)
 
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.serving import SLO, poisson_arrivals, simulate_continuous_serving
-    from repro.workloads import CHATGPT_PROMPTS
-
-    try:
-        faults = _load_faults(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    engine = make_engine(args.engine, args.model, args.machine, args.dtype, seed=args.seed)
-    requests = poisson_arrivals(
-        CHATGPT_PROMPTS,
-        rate=args.rate,
-        n_requests=args.requests,
-        rng=np.random.default_rng(args.seed),
-        deadline=args.deadline,
-    )
-    slo = SLO(ttft_target=args.slo_ttft, tbt_target=args.slo_tbt)
-    rows = []
-    for label, degradation in (("naive", False), ("degraded", True)):
-        report = simulate_continuous_serving(
-            engine,
-            requests,
-            policy="chunked",
-            max_batch=args.max_batch,
-            kv_budget_bytes=args.kv_gib * 2**30,
-            max_prefill_tokens=32,
-            faults=faults,
-            deadline=args.deadline,
-            max_retries=args.max_retries,
-            max_queue=args.max_queue,
-            degradation=degradation,
-        )
-        rows.append(
-            {
-                "server": label,
-                "slo_attainment": report.slo_attainment_overall(slo),
-                "completed": len(report.completed),
-                "timed_out": len(report.timed_out),
-                "shed": len(report.shed),
-                "failed": len(report.failed),
-                "aborts": report.n_aborts,
-                "retries": report.n_retries,
-                "degraded_s": report.time_in_degraded_mode,
-            }
-        )
-    events = ", ".join(
-        f"{e.kind}@{e.start:.1f}s x{e.duration:.1f}s (mag {e.magnitude:.2g})"
-        for e in (faults.events if faults is not None else ())
-    )
-    print(f"fault schedule: {events or 'empty'}")
+    busy = merge_busy_intervals(report.busy_intervals)
+    drift = abs(tracer.busy_union() - busy)
     print(
-        format_table(
-            rows,
-            f"{args.engine} / {args.model} / {args.machine} ({args.dtype}) under "
-            f"faults — SLO ttft<={args.slo_ttft:.3g}s tbt<={args.slo_tbt:.3g}s, "
-            f"deadline {args.deadline:.3g}s",
-        )
+        f"traced {report.n_iterations} iterations / {report.n_requests} "
+        f"completed requests over {report.makespan:.1f} s — "
+        f"{len(tracer.task_spans)} task spans, "
+        f"{len(tracer.request_spans)} request spans, "
+        f"{len(tracer.counters)} counter samples "
+        f"(busy-time drift vs report: {drift:.2e} s)"
     )
-    return 0
+    print("wrote " + ", ".join(outputs))
 
 
 def _deep_fleet_tracer():
@@ -1129,83 +1072,6 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
-    import numpy as np
-
-    from repro.serving import poisson_arrivals, simulate_continuous_serving
-    from repro.serving.metrics import merge_busy_intervals
-    from repro.telemetry import Tracer, save_chrome_trace, save_jsonl
-    from repro.workloads import CHATGPT_PROMPTS
-
-    try:
-        faults = _load_faults(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    engine = make_engine(args.engine, args.model, args.machine, args.dtype, seed=args.seed)
-    requests = poisson_arrivals(
-        CHATGPT_PROMPTS,
-        rate=args.rate,
-        n_requests=args.requests,
-        rng=np.random.default_rng(args.seed),
-        deadline=args.deadline,
-    )
-    tracer = Tracer()
-    report = simulate_continuous_serving(
-        engine,
-        requests,
-        policy="chunked",
-        max_batch=args.max_batch,
-        kv_budget_bytes=args.kv_gib * 2**30,
-        max_prefill_tokens=32,
-        faults=faults,
-        deadline=args.deadline,
-        max_retries=args.max_retries,
-        max_queue=args.max_queue,
-        tracer=tracer,
-    )
-
-    save_chrome_trace(tracer, args.out)
-    outputs = [args.out]
-    if args.jsonl is not None:
-        save_jsonl(tracer, args.jsonl)
-        outputs.append(args.jsonl)
-    if args.summary is not None:
-        summary = tracer.metrics.merge_into(report.to_dict())
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        outputs.append(args.summary)
-    if args.png is not None:
-        from repro.telemetry.timeline import MissingDependencyError, plot_timeline
-
-        try:
-            plot_timeline(
-                tracer,
-                args.png,
-                title=f"{args.engine} / {args.model} / {args.machine} ({args.dtype})",
-            )
-            outputs.append(args.png)
-        except MissingDependencyError as exc:
-            print(f"warning: skipped {args.png}: {exc}", file=sys.stderr)
-
-    busy = merge_busy_intervals(report.busy_intervals)
-    drift = abs(tracer.busy_union() - busy)
-    print(
-        f"traced {report.n_iterations} iterations / {report.n_requests} "
-        f"completed requests over {report.makespan:.1f} s — "
-        f"{len(tracer.task_spans)} task spans, "
-        f"{len(tracer.request_spans)} request spans, "
-        f"{len(tracer.counters)} counter samples "
-        f"(busy-time drift vs report: {drift:.2e} s)"
-    )
-    print("wrote " + ", ".join(outputs))
-    return 0
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
     from repro.analysis import throughput_bounds
 
@@ -1295,80 +1161,17 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
     return 0 if diff.ok else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.check.lint import format_text, lint_paths, report_as_dict
-
-    rules = None
-    if args.rules is not None:
-        rules = [name.strip() for name in args.rules.split(",") if name.strip()]
-    try:
-        violations, n_files = lint_paths(args.paths, rules=rules)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    document = report_as_dict(violations, n_files)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(document, indent=2))
-    else:
-        print(format_text(violations, n_files))
-    if args.out is not None:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-    return 0 if document["ok"] else 1
-
-
-def _cmd_verify_schedule(args: argparse.Namespace) -> int:
-    from repro.check.verify import format_verification, run_verification
-
-    document = run_verification(quick=args.quick)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(document, indent=2))
-    else:
-        print(format_verification(document))
-    if args.out is not None:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-    return 0 if document["ok"] else 1
-
-
-def _cmd_check_flow(args: argparse.Namespace) -> int:
-    from repro.check.flow import flow_to_json, format_flow_text, run_flow
-
-    rules = None
-    if args.rules is not None:
-        rules = [name.strip() for name in args.rules.split(",") if name.strip()]
-    try:
-        report = run_flow(args.paths, rules=rules)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(flow_to_json(report), end="")
-    else:
-        print(format_flow_text(report))
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(flow_to_json(report))
-    return 0 if report.ok else 1
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check.report import check_to_json, format_check_text, run_check
+
+    def names(value: str) -> list[str]:
+        return [name.strip() for name in value.split(",") if name.strip()]
 
     try:
         report = run_check(
             args.paths,
-            with_schedule=not args.skip_verify,
+            only=names(args.only),
+            rules=names(args.rules) if args.rules is not None else None,
             quick=not args.full,
         )
     except (FileNotFoundError, ValueError) as exc:
@@ -1403,16 +1206,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_figure(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args)
         if args.command == "fleet":
             return _cmd_fleet(args)
         if args.command == "explain-request":
             return _cmd_explain_request(args)
         if args.command == "energy":
             return _cmd_energy(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
         if args.command == "bounds":
             return _cmd_bounds(args)
         if args.command == "attribution":
@@ -1421,12 +1220,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_bench_baseline(args)
         if args.command == "bench-check":
             return _cmd_bench_check(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "verify-schedule":
-            return _cmd_verify_schedule(args)
-        if args.command == "check-flow":
-            return _cmd_check_flow(args)
         if args.command == "check":
             return _cmd_check(args)
     except OutOfMemoryError as exc:

@@ -1,7 +1,6 @@
-"""Serving simulations: arrivals, FCFS/batched/continuous scheduling, SLO metrics."""
+"""Serving simulation: arrivals, one iteration-level serving loop, SLO metrics."""
 
 from repro.serving.arrival import Request, poisson_arrivals
-from repro.serving.batched import simulate_batched_serving
 from repro.serving.continuous import (
     ContinuousServer,
     IterationCostCache,
@@ -33,15 +32,14 @@ from repro.serving.policies import (
     IterationPlan,
     PrefillPriorityPolicy,
     SchedulerPolicy,
+    StaticBatchPolicy,
     make_policy,
 )
-from repro.serving.simulator import CompletedRequest, ServingReport, simulate_serving
 
 __all__ = [
     "SLO",
     "SERVING_POLICIES",
     "ChunkedPrefillPolicy",
-    "CompletedRequest",
     "ContinuousReport",
     "ContinuousServer",
     "FCFSJoinPolicy",
@@ -59,14 +57,12 @@ __all__ = [
     "RequestState",
     "SchedulerPolicy",
     "ServerSession",
-    "ServingReport",
+    "StaticBatchPolicy",
     "make_policy",
     "make_router_policy",
     "retry_delay",
     "merge_busy_intervals",
     "percentile",
     "poisson_arrivals",
-    "simulate_batched_serving",
     "simulate_continuous_serving",
-    "simulate_serving",
 ]

@@ -1,13 +1,13 @@
-"""Orca-style continuous batching over a performance engine.
+"""The serving loop: iteration-level scheduling over a performance engine.
 
-The static simulators (:mod:`repro.serving.simulator`,
-:mod:`repro.serving.batched`) treat a request as one opaque service time, so
-a batch is frozen at dispatch and every member finishes together.  This
-module schedules at *token* granularity instead: the server advances one
-model iteration at a time via :meth:`PerfEngine.simulate_iteration`,
-requests join the running batch the moment a slot and KV memory are
-available, and leave the instant their last token is emitted — the
-iteration-level scheduling loop of Orca/vLLM-class serving systems.
+Every serving discipline in :mod:`repro.serving` runs through this one
+loop.  The server advances one model iteration at a time via
+:meth:`PerfEngine.simulate_iteration`, requests join the running batch the
+moment a slot and KV memory are available, and leave the instant their last
+token is emitted — the iteration-level scheduling loop of Orca/vLLM-class
+serving systems.  The classic baselines are configurations of it:
+whole-request FCFS is ``max_batch=1``, and static batching is the
+``static`` policy, which admits only into an empty batch.
 
 Pieces that cooperate:
 
@@ -18,7 +18,7 @@ Pieces that cooperate:
   released on completion, so the budget is never exceeded mid-flight.
 * **Scheduler policy** (:mod:`repro.serving.policies`) — decides, per
   iteration, which members prefill (and how many prompt tokens) and which
-  decode.
+  decode, and whether waiting requests may join a running batch at all.
 * **Iteration cost cache** — iteration latency is deterministic in
   ``(ctx_len, n_tokens, batch)`` *within one fault epoch*; context lengths
   are bucketed so streams of thousands of requests hit a few hundred
@@ -527,7 +527,11 @@ class ServerSession:
         nothing behind it is admitted (preserves arrival order, the
         "queue-on-full" discipline).  A request that cannot fit even an
         *empty* pristine pool can never be served and raises immediately.
+        A policy that does not join running batches (``static``) admits
+        only while the batch is empty.
         """
+        if self.running and not self.server.policy.joins_running:
+            return
         while self.waiting and len(self.running) < batch_cap:
             request = self.waiting[0]
             kv_bytes = self.server.engine.request_kv_bytes(
@@ -1007,12 +1011,14 @@ class ServerSession:
 
 
 class ContinuousServer:
-    """Event-driven continuous-batching server with graceful degradation.
+    """Event-driven LLM server with graceful degradation.
 
     Attributes:
         engine: Performance engine pricing each iteration.
-        policy: Scheduler policy shaping iterations (name or instance).
-        max_batch: Maximum concurrently running requests.
+        policy: Scheduler policy shaping iterations (name or instance);
+            ``"static"`` admits only into an empty batch.
+        max_batch: Maximum concurrently running requests; ``1`` serves
+            whole requests one at a time (FCFS).
         kv_budget_bytes: KV-cache memory budget for admission control;
             defaults to the engine's free GPU memory after plan-resident
             weights (:meth:`PerfEngine.kv_budget_bytes`).
@@ -1188,8 +1194,8 @@ def simulate_continuous_serving(
     """Serve ``requests`` with continuous batching; returns the report.
 
     Convenience wrapper over :class:`ContinuousServer`.  ``policy`` is a
-    preset name (``"fcfs"``, ``"prefill-first"``, ``"chunked"``) or a
-    :class:`SchedulerPolicy` instance; ``max_prefill_tokens`` only applies
+    preset name (``"fcfs"``, ``"prefill-first"``, ``"chunked"``,
+    ``"static"``) or a :class:`SchedulerPolicy` instance; ``max_prefill_tokens`` only applies
     to the chunked policy.  Extra keyword arguments (``faults``,
     ``deadline``, ``max_retries``, ``retry_backoff``, ``retry_jitter``,
     ``seed``, ``max_queue``, ``degradation``, ``degraded_max_batch``,

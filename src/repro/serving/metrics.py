@@ -1,9 +1,11 @@
 """Per-request serving metrics: TTFT, TBT, latency percentiles, SLO goodput.
 
-Static serving reports (:class:`repro.serving.simulator.ServingReport`) only
-see whole requests; a token-level scheduler needs token-level metrics.  This
-module records, for each request, the time of every emitted token, and
-derives the quantities production serving systems are judged by:
+Every serving discipline (whole-request FCFS at ``max_batch=1``, the
+``static`` batching policy, and iteration-level continuous batching) runs
+through the one serving loop and returns one :class:`ContinuousReport`, so
+all of them are judged by the same token-level metrics.  This module
+records, for each request, the time of every emitted token, and derives the
+quantities production serving systems are judged by:
 
 * **TTFT** — time to first token (arrival until the first output token).
 * **TBT**  — time between tokens during decode (the streaming cadence).
@@ -12,8 +14,8 @@ derives the quantities production serving systems are judged by:
   :class:`SLO` on both TTFT and worst-case TBT.
 
 :func:`merge_busy_intervals` is the shared utilization primitive: it sums
-the union of (start, end) busy spans, so overlapping work (batched or
-continuous) is never double-counted.
+the union of (start, end) busy spans, so overlapping work is never
+double-counted.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ class RequestMetrics:
 
 @dataclass
 class ContinuousReport:
-    """Aggregate statistics of a continuous-batching simulation.
+    """Aggregate statistics of one serving-loop run (any policy or batch cap).
 
     Attributes:
         completed: Token-level metrics of every served request.

@@ -4,7 +4,7 @@ Each iteration, the server asks its policy what the running batch should do
 for the next model step: which prefilling requests advance (and by how many
 prompt tokens), and which decoding requests emit a token.  Three policies
 span the design space studied by iteration-level schedulers (Orca, vLLM,
-Sarathi):
+Sarathi), and a fourth recovers the static batching they replaced:
 
 * :class:`FCFSJoinPolicy` — everyone runs every iteration; a joining
   request prefills its whole prompt in one step alongside ongoing decodes.
@@ -15,10 +15,15 @@ Sarathi):
   at ``max_prefill_tokens`` per iteration so decode tokens keep flowing
   every step; this bounds the worst inter-token gap (Sarathi-style TBT
   protection).
+* :class:`StaticBatchPolicy` — iterations as in ``fcfs``, but the server
+  admits only into an empty batch, so a batch is frozen at dispatch and
+  drains before the next one forms (request-level static batching).
 
 Policies never see the waiting queue: admission (FCFS, KV-budget gated)
 belongs to the server.  They only shape the iteration over already-admitted
-requests, so a policy cannot violate the memory budget.
+requests — plus the one :attr:`SchedulerPolicy.joins_running` predicate the
+server consults before admitting — so a policy cannot violate the memory
+budget.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "FCFSJoinPolicy",
     "PrefillPriorityPolicy",
     "ChunkedPrefillPolicy",
+    "StaticBatchPolicy",
     "SERVING_POLICIES",
     "make_policy",
 ]
@@ -66,9 +72,16 @@ class IterationPlan:
 
 
 class SchedulerPolicy(ABC):
-    """Decides the composition of each model iteration."""
+    """Decides the composition of each model iteration.
+
+    Attributes:
+        joins_running: Whether waiting requests may join a batch that is
+            already running (iteration-level batching).  ``False`` makes
+            the server admit only into an empty batch.
+    """
 
     name = "base"
+    joins_running = True
 
     @abstractmethod
     def plan_iteration(self, running: Sequence["RequestState"]) -> IterationPlan:
@@ -93,6 +106,20 @@ class FCFSJoinPolicy(SchedulerPolicy):
             elif state.is_decoding:
                 plan.decode.append(state)
         return plan
+
+
+class StaticBatchPolicy(FCFSJoinPolicy):
+    """Static batching: admit only into an empty batch.
+
+    A batch forms from the requests waiting when the previous batch has
+    fully drained (up to ``max_batch`` and the KV budget), then runs
+    closed: members still leave at their own last token, but nobody
+    joins until the last member finishes.  With non-overlapping arrivals
+    it is indistinguishable from ``fcfs``.
+    """
+
+    name = "static"
+    joins_running = False
 
 
 class PrefillPriorityPolicy(SchedulerPolicy):
@@ -148,6 +175,7 @@ SERVING_POLICIES: dict[str, Callable[..., SchedulerPolicy]] = {
     FCFSJoinPolicy.name: FCFSJoinPolicy,
     PrefillPriorityPolicy.name: PrefillPriorityPolicy,
     ChunkedPrefillPolicy.name: ChunkedPrefillPolicy,
+    StaticBatchPolicy.name: StaticBatchPolicy,
 }
 
 

@@ -3,9 +3,9 @@
 One command, one schema: every tool's findings land in the shared
 ``CheckViolation`` shape with a ``tool`` field, the merged JSON document
 aggregates by rule, and the process exit code is the disjunction of the
-tools' verdicts.  The dynamic verify-schedule sweep is exercised by its
-own suite (``test_verify_suite``); here it is skipped so the umbrella
-tests stay static-analysis fast.
+tools' verdicts.  The dynamic schedule sweep is exercised by its own
+suite (``test_verify_suite``); here ``--only lint,flow`` skips it so the
+umbrella tests stay static-analysis fast.
 """
 
 import json
@@ -40,7 +40,7 @@ CLEAN = (
 class TestRunCheck:
     def test_merges_lint_and_flow_findings(self, tmp_path):
         (tmp_path / "dirty.py").write_text(DIRTY)
-        report = run_check([tmp_path], with_schedule=False)
+        report = run_check([tmp_path], only=("lint", "flow"))
         assert not report.ok
         assert [t.tool for t in report.tools] == ["lint", "flow"]
         fired = {(v.tool, v.rule) for v in report.violations}
@@ -49,13 +49,13 @@ class TestRunCheck:
 
     def test_clean_tree_is_ok(self, tmp_path):
         (tmp_path / "ok.py").write_text(CLEAN)
-        report = run_check([tmp_path], with_schedule=False)
+        report = run_check([tmp_path], only=("lint", "flow"))
         assert report.ok
         assert report.violations == []
 
     def test_json_document_shape(self, tmp_path):
         (tmp_path / "dirty.py").write_text(DIRTY)
-        report = run_check([tmp_path], with_schedule=False)
+        report = run_check([tmp_path], only=("lint", "flow"))
         doc = json.loads(check_to_json(report))
         assert doc["ok"] is False
         assert doc["n_violations"] == len(report.violations)
@@ -70,14 +70,14 @@ class TestRunCheck:
 
     def test_flow_stats_surface_in_tool_report(self, tmp_path):
         (tmp_path / "ok.py").write_text(CLEAN)
-        report = run_check([tmp_path], with_schedule=False)
+        report = run_check([tmp_path], only=("lint", "flow"))
         flow_tool = next(t for t in report.tools if t.tool == "flow")
         assert flow_tool.stats["n_files"] == 1
         assert flow_tool.stats["n_functions"] == 1
 
     def test_text_report_names_each_tool(self, tmp_path):
         (tmp_path / "dirty.py").write_text(DIRTY)
-        text = format_check_text(run_check([tmp_path], with_schedule=False))
+        text = format_check_text(run_check([tmp_path], only=("lint", "flow")))
         assert "[lint]" in text
         assert "[flow]" in text
         assert text.splitlines()[-1].startswith("FAIL:")
@@ -86,14 +86,14 @@ class TestRunCheck:
 class TestCli:
     def test_check_flow_exit_codes(self, tmp_path, capsys):
         (tmp_path / "dirty.py").write_text(DIRTY)
-        assert main(["check-flow", str(tmp_path)]) == 1
+        assert main(["check", str(tmp_path), "--only", "flow"]) == 1
         out = capsys.readouterr().out
         assert "dim-add-mix" in out
 
         clean = tmp_path / "clean"
         clean.mkdir()
         (clean / "ok.py").write_text(CLEAN)
-        assert main(["check-flow", str(clean)]) == 0
+        assert main(["check", str(clean), "--only", "flow"]) == 0
 
     def test_check_umbrella_exit_and_json_out(self, tmp_path, capsys):
         (tmp_path / "dirty.py").write_text(DIRTY)
@@ -102,7 +102,8 @@ class TestCli:
             [
                 "check",
                 str(tmp_path),
-                "--skip-verify",
+                "--only",
+                "lint,flow",
                 "--json-out",
                 str(out_path),
             ]
@@ -115,10 +116,12 @@ class TestCli:
 
     def test_check_flow_rules_filter(self, tmp_path, capsys):
         (tmp_path / "dirty.py").write_text(DIRTY)
-        code = main(["check-flow", str(tmp_path), "--rules", "rng-unseeded"])
+        code = main(
+            ["check", str(tmp_path), "--only", "flow", "--rules", "rng-unseeded"]
+        )
         assert code == 0  # the only finding is dim-add-mix; filtered out
         capsys.readouterr()
 
     def test_src_repro_passes_check_flow_cli(self, capsys):
-        assert main(["check-flow", str(REPO_ROOT / "src" / "repro")]) == 0
+        assert main(["check", str(REPO_ROOT / "src" / "repro"), "--only", "flow"]) == 0
         assert "OK: 0 violation(s)" in capsys.readouterr().out

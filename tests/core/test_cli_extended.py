@@ -1,4 +1,4 @@
-"""Tests for the serve/bounds/trace CLI subcommands and example hygiene."""
+"""Tests for the serve/bounds CLI subcommands and example hygiene."""
 
 import json
 import pathlib
@@ -44,6 +44,49 @@ class TestServeCommand:
         assert code == 0
         assert "llama.cpp" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--requests", "0"], "--requests"),
+            (["--rate", "0"], "--rate"),
+            (["--max-batch", "0"], "--max-batch"),
+        ],
+        ids=["zero-requests", "zero-rate", "zero-max-batch"],
+    )
+    def test_serve_rejects_degenerate_stream(self, capsys, flags, message):
+        code = main(
+            ["serve", "--model", "opt-6.7b", "--machine", "pc-low", *flags]
+        )
+        assert code != 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_serve_canonical_faults_compares_naive_and_degraded(self, capsys):
+        code = main(
+            [
+                "serve",
+                "--model", "opt-6.7b",
+                "--machine", "pc-low",
+                "--dtype", "int4",
+                "--rate", "0.9",
+                "--requests", "12",
+                "--scheduler", "chunked",
+                "--chunk-tokens", "32",
+                "--kv-gib", "0.35",
+                "--deadline", "12",
+                "--max-queue", "16",
+                "--faults", "canonical",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("fault schedule: pcie-degrade@8.0s")
+        rows = [line.split("|")[0].strip() for line in out.splitlines()]
+        assert "naive" in rows and "degraded" in rows
+        assert "deadline 12s" in out
+
 
 class TestTraceCommand:
     def test_trace_writes_chrome_trace_and_summary(self, capsys, tmp_path):
@@ -52,14 +95,14 @@ class TestTraceCommand:
         summary = tmp_path / "run.summary.json"
         code = main(
             [
-                "trace",
+                "serve",
                 "--model", "opt-6.7b",
                 "--machine", "pc-low",
                 "--dtype", "int4",
                 "--rate", "0.5",
                 "--requests", "6",
                 "--faults", "none",
-                "--out", str(out),
+                "--trace", str(out),
                 "--jsonl", str(jsonl),
                 "--summary", str(summary),
             ]
@@ -78,14 +121,14 @@ class TestTraceCommand:
         out = tmp_path / "chaos.trace.json"
         code = main(
             [
-                "trace",
+                "serve",
                 "--model", "opt-6.7b",
                 "--machine", "pc-low",
                 "--dtype", "int4",
                 "--rate", "0.5",
                 "--requests", "4",
                 "--fault-seed", "7",
-                "--out", str(out),
+                "--trace", str(out),
             ]
         )
         assert code == 0

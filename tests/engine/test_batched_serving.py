@@ -1,11 +1,18 @@
-"""Tests for dynamic-batching serving."""
+"""Tests for static batching: the ``static`` policy of the serving loop.
+
+Static batching admits only into an empty batch: a batch forms from the
+requests waiting when the previous one has drained and runs closed until
+its last member finishes.  FCFS is the same loop at ``max_batch=1``.
+"""
 
 import pytest
 
 from repro.engine.powerinfer import PowerInferEngine
+from repro.serving import ContinuousServer
 from repro.serving.arrival import Request
-from repro.serving.batched import simulate_batched_serving
-from repro.serving.simulator import simulate_serving
+
+# Ample budget: admission control never binds in these tests.
+BUDGET = 256 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -20,70 +27,81 @@ def burst(n, input_len=16, output_len=32, gap=0.001):
     ]
 
 
+def static(engine, requests, max_batch=8):
+    server = ContinuousServer(
+        engine, policy="static", max_batch=max_batch, kv_budget_bytes=BUDGET
+    )
+    return server.run(requests)
+
+
+def fcfs(engine, requests):
+    return ContinuousServer(engine, max_batch=1, kv_budget_bytes=BUDGET).run(requests)
+
+
 class TestBatchedServing:
     def test_all_requests_complete(self, engine):
-        report = simulate_batched_serving(engine, burst(10), max_batch=4)
+        report = static(engine, burst(10), max_batch=4)
         assert report.n_requests == 10
 
     def test_batch_members_finish_together(self, engine):
-        report = simulate_batched_serving(engine, burst(6), max_batch=8)
-        finishes = sorted({round(c.finish_time, 9) for c in report.completed})
+        report = static(engine, burst(6), max_batch=8)
+        finishes = sorted({round(m.finish_time, 9) for m in report.completed})
         # First request starts alone (nothing else has arrived); the other
         # five batch together on the second dispatch.
         assert len(finishes) <= 3
 
     def test_max_batch_respected(self, engine):
-        report = simulate_batched_serving(engine, burst(9), max_batch=2)
-        starts = [c.start_time for c in report.completed]
+        report = static(engine, burst(9), max_batch=2)
+        starts = [m.admit_time for m in report.completed]
         for start in set(starts):
             assert starts.count(start) <= 2
 
     def test_batching_beats_fcfs_on_makespan_under_burst(self, engine):
         requests = burst(12)
-        fcfs = simulate_serving(engine, requests)
-        batched = simulate_batched_serving(engine, requests, max_batch=8)
         # Union-activation batching amortizes weight reads: the burst
         # drains faster (Figure 14's throughput effect).
-        assert batched.makespan < fcfs.makespan
+        assert static(engine, requests).makespan < fcfs(engine, requests).makespan
 
     def test_no_queue_degenerates_to_fcfs(self, engine):
         spaced = [
             Request(request_id=i, arrival_time=100.0 * i, input_len=16, output_len=32)
             for i in range(3)
         ]
-        fcfs = simulate_serving(engine, spaced)
-        batched = simulate_batched_serving(engine, spaced, max_batch=8)
-        assert batched.makespan == pytest.approx(fcfs.makespan, rel=1e-6)
+        batched = static(engine, spaced)
+        single = fcfs(engine, spaced)
+        assert batched.makespan == pytest.approx(single.makespan, rel=1e-6)
 
-    def test_padded_batch_dimensions(self, engine):
-        # Mixed shapes: batch service time follows the largest member.
+    def test_never_admits_into_running_batch(self, engine):
+        # Request 2 arrives while the first batch still runs: it waits for
+        # the batch to drain, even though a slot frees up when the short
+        # member finishes.
         requests = [
             Request(request_id=0, arrival_time=0.0, input_len=8, output_len=8),
             Request(request_id=1, arrival_time=0.0, input_len=32, output_len=64),
+            Request(request_id=2, arrival_time=0.001, input_len=8, output_len=8),
         ]
-        report = simulate_batched_serving(engine, requests, max_batch=2)
-        big_alone = engine.simulate_request(32, 64, batch=2).total_time
-        c0, c1 = sorted(report.completed, key=lambda c: c.request.request_id)
-        assert c0.finish_time == pytest.approx(c1.finish_time)
-        assert c0.service_time == pytest.approx(big_alone)
+        report = static(engine, requests, max_batch=2)
+        short, long_, late = report.completed
+        assert short.admit_time == long_.admit_time == 0.0
+        assert short.finish_time < long_.finish_time
+        assert late.admit_time == pytest.approx(long_.finish_time)
 
     def test_invalid_max_batch(self, engine):
         with pytest.raises(ValueError):
-            simulate_batched_serving(engine, burst(2), max_batch=0)
+            ContinuousServer(engine, policy="static", max_batch=0, kv_budget_bytes=BUDGET)
 
     def test_max_batch_one_matches_fcfs_exactly(self, engine):
         requests = burst(6, gap=0.01) + [
             Request(request_id=6, arrival_time=10.0, input_len=32, output_len=8)
         ]
-        fcfs = simulate_serving(engine, requests)
-        batched = simulate_batched_serving(engine, requests, max_batch=1)
-        key = lambda c: c.request.request_id
-        for a, b in zip(sorted(fcfs.completed, key=key), sorted(batched.completed, key=key)):
-            assert b.start_time == pytest.approx(a.start_time, abs=1e-12)
+        single = fcfs(engine, requests)
+        batched = static(engine, requests, max_batch=1)
+        for a, b in zip(single.completed, batched.completed):
+            assert b.admit_time == pytest.approx(a.admit_time, abs=1e-12)
             assert b.finish_time == pytest.approx(a.finish_time, abs=1e-12)
 
     def test_empty_request_list(self, engine):
-        report = simulate_batched_serving(engine, [], max_batch=4)
+        report = static(engine, [], max_batch=4)
         assert report.n_requests == 0
         assert report.makespan == 0.0
         assert report.utilization == 0.0
@@ -95,5 +113,5 @@ class TestBatchedServing:
             Request(request_id=i, arrival_time=0.0, input_len=16, output_len=32)
             for i in range(8)
         ]
-        report = simulate_batched_serving(engine, simultaneous, max_batch=8)
+        report = static(engine, simultaneous, max_batch=8)
         assert 0.0 < report.utilization <= 1.0 + 1e-9

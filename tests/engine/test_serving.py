@@ -1,12 +1,15 @@
-"""Tests for the serving-loop simulator."""
+"""Tests for arrivals and whole-request FCFS serving (``max_batch=1``)."""
 
 import numpy as np
 import pytest
 
 from repro.engine.powerinfer import PowerInferEngine
+from repro.serving import ContinuousReport, ContinuousServer
 from repro.serving.arrival import Request, poisson_arrivals
-from repro.serving.simulator import simulate_serving
 from repro.workloads.prompts import CHATGPT_PROMPTS
+
+# Ample budget: admission control never binds in these tests.
+BUDGET = 256 * 2**20
 
 
 class TestArrivals:
@@ -89,23 +92,31 @@ class TestArrivals:
 
 
 class TestServing:
+    """FCFS is the serving loop with one request in flight at a time."""
+
     @pytest.fixture(scope="class")
     def engine(self, mini_plan):
         return PowerInferEngine(mini_plan)
 
+    @staticmethod
+    def serve(engine, requests):
+        return ContinuousServer(engine, max_batch=1, kv_budget_bytes=BUDGET).run(
+            requests
+        )
+
     def test_fcfs_no_overlap(self, engine, rng):
         reqs = poisson_arrivals(CHATGPT_PROMPTS, rate=50.0, n_requests=10, rng=rng)
-        report = simulate_serving(engine, reqs)
-        done = sorted(report.completed, key=lambda c: c.start_time)
+        report = self.serve(engine, reqs)
+        done = sorted(report.completed, key=lambda m: m.admit_time)
         for a, b in zip(done, done[1:]):
-            assert b.start_time >= a.finish_time - 1e-9
+            assert b.admit_time >= a.finish_time - 1e-9
 
     def test_latency_at_least_service_time(self, engine, rng):
         reqs = poisson_arrivals(CHATGPT_PROMPTS, rate=5.0, n_requests=10, rng=rng)
-        report = simulate_serving(engine, reqs)
-        for c in report.completed:
-            assert c.latency >= c.service_time - 1e-12
-            assert c.queue_delay >= 0
+        report = self.serve(engine, reqs)
+        for m in report.completed:
+            assert m.latency >= m.finish_time - m.admit_time - 1e-12
+            assert m.queue_delay >= 0
 
     def test_overload_builds_queue(self, engine):
         # Back-to-back arrivals: queueing delay must grow with position.
@@ -113,8 +124,8 @@ class TestServing:
             Request(request_id=i, arrival_time=0.001 * i, input_len=16, output_len=32)
             for i in range(6)
         ]
-        report = simulate_serving(engine, reqs)
-        delays = [c.queue_delay for c in report.completed]
+        report = self.serve(engine, reqs)
+        delays = [m.queue_delay for m in report.completed]
         assert delays[-1] > delays[0]
         assert report.utilization > 0.9
 
@@ -123,13 +134,13 @@ class TestServing:
             Request(request_id=i, arrival_time=100.0 * i, input_len=16, output_len=32)
             for i in range(3)
         ]
-        report = simulate_serving(engine, reqs)
+        report = self.serve(engine, reqs)
         assert report.mean_queue_delay == pytest.approx(0.0)
         assert report.utilization < 0.1
 
     def test_report_statistics(self, engine, rng):
         reqs = poisson_arrivals(CHATGPT_PROMPTS, rate=2.0, n_requests=12, rng=rng)
-        report = simulate_serving(engine, reqs)
+        report = self.serve(engine, reqs)
         assert report.n_requests == 12
         assert report.throughput_rps > 0
         assert report.tokens_per_second > 0
@@ -138,15 +149,13 @@ class TestServing:
         assert p95 >= p50
 
     def test_empty_report_guards(self):
-        from repro.serving.simulator import ServingReport
-
-        report = ServingReport()
+        report = ContinuousReport()
         assert report.throughput_rps == 0.0
         with pytest.raises(ValueError):
             report.latency_percentile(50)
 
     def test_empty_request_list(self, engine):
-        report = simulate_serving(engine, [])
+        report = self.serve(engine, [])
         assert report.n_requests == 0
         assert report.makespan == 0.0
         assert report.utilization == 0.0
@@ -157,9 +166,9 @@ class TestServing:
             Request(request_id=i, arrival_time=0.0, input_len=16, output_len=8)
             for i in range(4)
         ]
-        report = simulate_serving(engine, reqs)
+        report = self.serve(engine, reqs)
         starts = [
-            c.start_time
-            for c in sorted(report.completed, key=lambda c: c.request.request_id)
+            m.admit_time
+            for m in sorted(report.completed, key=lambda m: m.request.request_id)
         ]
         assert starts == sorted(starts)

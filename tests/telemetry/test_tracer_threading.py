@@ -3,7 +3,7 @@
 PR contract: passing ``tracer=None`` (default), a ``NullTracer``, or a
 real ``Tracer`` must yield bit-identical simulation results — tracing is
 observation, never perturbation — and the paths that used to drop the
-parameter (request integration, dynamic batching, speculative decoding)
+parameter (request integration, static batching, speculative decoding)
 now record complete timelines.
 """
 
@@ -12,8 +12,8 @@ import pytest
 from repro.engine.baselines import LlamaCppEngine
 from repro.engine.powerinfer import PowerInferEngine
 from repro.engine.speculative import SpeculativeEngine
+from repro.serving import ContinuousServer
 from repro.serving.arrival import Request
-from repro.serving.batched import simulate_batched_serving
 from repro.telemetry.tracer import NullTracer, Tracer
 
 
@@ -53,38 +53,47 @@ class TestSimulateRequest:
 
 
 class TestBatchedServing:
+    """Static batching (the ``static`` policy) through the serving loop."""
+
     def _requests(self):
-        # Two windows with identical padded shape: the second is served
-        # from the service-time cache.
+        # Two windows with identical shape: the second is priced from the
+        # iteration cost cache.
         return [
             Request(request_id=0, arrival_time=0.0, input_len=16, output_len=8),
             Request(request_id=1, arrival_time=1000.0, input_len=16, output_len=8),
         ]
 
+    def _serve(self, engine, tracer):
+        server = ContinuousServer(
+            engine, policy="static", kv_budget_bytes=256 * 2**20, tracer=tracer
+        )
+        return server.run(self._requests())
+
     def test_bit_identity_across_tracers(self, engine):
         reports = [
-            simulate_batched_serving(engine, self._requests(), tracer=tracer)
-            for tracer in (None, NullTracer(), Tracer())
+            self._serve(engine, tracer) for tracer in (None, NullTracer(), Tracer())
         ]
         finish = [
-            [(c.request.request_id, c.start_time, c.finish_time) for c in r.completed]
+            [(m.request.request_id, m.admit_time, m.token_times) for m in r.completed]
             for r in reports
         ]
         assert finish[0] == finish[1] == finish[2]
+        assert reports[0].busy_intervals == reports[2].busy_intervals
 
     def test_cache_hit_window_still_traced(self, engine):
         tracer = Tracer()
-        simulate_batched_serving(engine, self._requests(), tracer=tracer)
+        report = self._serve(engine, tracer)
         windows = tracer.regions_on("server")
-        assert len(windows) == 2
-        assert all(w.name == "batch" for w in windows)
-        # The second window is a cache hit, but its spans are still there.
-        second = windows[1]
-        assert any(s.start >= second.start for s in tracer.task_spans)
+        assert len(windows) == report.n_iterations
+        assert all(w.name == "iteration" for w in windows)
+        # The second request's iterations are cache hits, but their spans
+        # are still there.
+        second = report.completed[1]
+        assert any(s.start >= second.admit_time for s in tracer.task_spans)
 
     def test_null_tracer_records_nothing(self, engine):
         null = NullTracer()
-        simulate_batched_serving(engine, self._requests(), tracer=null)
+        self._serve(engine, null)
         assert len(null) == 0
 
 
