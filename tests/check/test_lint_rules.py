@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.check.lint import RULES, lint_paths, lint_source, report_as_dict
+from repro.check.report import run_check
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -69,6 +70,30 @@ class TestNpLegacyRandom:
             "ss = np.random.SeedSequence(2)\n"
         )
         assert rules_fired(src) == []
+
+
+class TestUnseededRng:
+    """A bare ``default_rng()`` is the flow pass's ``rng-unseeded`` finding.
+
+    Lint has no rule of its own for it, so ``repro check`` reports the call
+    once, not once per pass.
+    """
+
+    @staticmethod
+    def checked(tmp_path: Path, source: str) -> list[tuple[str, str, int]]:
+        (tmp_path / "fixture.py").write_text(source)
+        report = run_check([tmp_path], only=("lint", "flow"))
+        return [(v.tool, v.rule, v.line) for v in report.violations]
+
+    def test_argless_default_rng_fires(self, tmp_path):
+        src = "import numpy as np\n\n\ndef draw():\n    return np.random.default_rng()\n"
+        assert rules_fired(src) == []
+        assert self.checked(tmp_path, src) == [("flow", "rng-unseeded", 5)]
+
+    def test_seeded_default_rng_clean(self, tmp_path):
+        src = "import numpy as np\n\n\ndef draw():\n    return np.random.default_rng(1234)\n"
+        assert rules_fired(src) == []
+        assert self.checked(tmp_path, src) == []
 
 
 class TestFloatTimeEq:
