@@ -1,10 +1,11 @@
-"""AST-based project index and call graph for the flow passes.
+"""AST-based project index and call graph for the static pass.
 
-``repro check --only flow`` needs whole-project context the per-file linter does
-not: which function a call site resolves to, what dimensions a callee's
-signature declares, which class an attribute chain lands on, and — for
-seed provenance — every call site of a given function together with its
-argument bindings.  This module builds that context once per run:
+The whole-project rules of ``repro check --only lint`` need context a
+single file does not give: which function a call site resolves to, what
+dimensions a callee's signature declares, which class an attribute chain
+lands on, and — for seed provenance — every call site of a given
+function together with its argument bindings.  This module builds that
+context once per run:
 
 * :class:`ProjectIndex` parses every file, derives dotted module names
   (``src/repro/hardware/spec.py`` -> ``repro.hardware.spec``), and
@@ -242,7 +243,11 @@ class _ModuleIndexer(ast.NodeVisitor):
     # -- imports ------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            self.info.imports[alias.asname or alias.name.split(".")[0]] = alias.name
+            if alias.asname:
+                self.info.imports[alias.asname] = alias.name
+            else:  # `import a.b` binds `a` to package `a`
+                head = alias.name.split(".")[0]
+                self.info.imports[head] = head
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module is None or node.level:
@@ -328,10 +333,17 @@ class _ModuleIndexer(ast.NodeVisitor):
 
 
 class ProjectIndex:
-    """Parsed project: modules, functions, classes, constants."""
+    """Parsed project: modules, functions, classes, constants.
+
+    ``parsed`` holds every file that parsed, in input order.  ``modules``
+    maps each dotted name to the last of them, so two same-named files
+    outside a ``repro`` package leave one entry there; rules that need no
+    cross-module context walk ``parsed``.
+    """
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
+        self.parsed: list[ModuleInfo] = []
         self.functions: dict[str, FunctionInfo] = {}
         self.parse_errors: list[tuple[str, int, str]] = []  # path, line, msg
 
@@ -340,18 +352,26 @@ class ProjectIndex:
         index = cls()
         for path in files:
             try:
-                source = path.read_text()
-                tree = ast.parse(source, filename=str(path))
-            except (OSError, SyntaxError) as exc:
-                line = getattr(exc, "lineno", 1) or 1
-                index.parse_errors.append((str(path), line, str(exc)))
+                source = path.read_text(encoding="utf-8")
+            except OSError as exc:
+                index.parse_errors.append((str(path), 1, str(exc)))
                 continue
-            info = ModuleInfo(
-                name=module_name_for(path), path=str(path), tree=tree, source=source
-            )
-            _ModuleIndexer(info, index.functions).visit(tree)
-            index.modules[info.name] = info
+            index.add(str(path), source)
         return index
+
+    def add(self, path: str, source: str) -> None:
+        """Parse and index one module; a syntax error is recorded, not raised."""
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            self.parse_errors.append((path, exc.lineno or 1, f"syntax error: {exc.msg}"))
+            return
+        info = ModuleInfo(
+            name=module_name_for(Path(path)), path=path, tree=tree, source=source
+        )
+        _ModuleIndexer(info, self.functions).visit(tree)
+        self.modules[info.name] = info
+        self.parsed.append(info)
 
     # -- lookups ------------------------------------------------------
     def class_named(self, name: str | None) -> ClassInfo | None:

@@ -44,7 +44,7 @@ from repro.check.callgraph import (
     bind_args,
     dotted_name,
 )
-from repro.check.lint import LintViolation
+from repro.check.report import CheckViolation
 from repro.units import BASE_DIMENSIONS, DIMENSIONS
 
 __all__ = ["check_dimensions", "DIM_VECTORS", "vector_name"]
@@ -153,7 +153,7 @@ class _FunctionChecker:
         module: ModuleInfo,
         index: ProjectIndex,
         graph: CallGraph,
-        violations: list[LintViolation],
+        violations: list[CheckViolation],
     ):
         self.func = func
         self.module = module
@@ -176,7 +176,8 @@ class _FunctionChecker:
 
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
         self.violations.append(
-            LintViolation(
+            CheckViolation(
+                tool="lint",
                 rule=rule,
                 path=self.func.path,
                 line=getattr(node, "lineno", self.func.lineno),
@@ -802,9 +803,9 @@ def _ann_str(node: ast.expr) -> str | None:
     return annotation_name(node)
 
 
-def check_dimensions(index: ProjectIndex, graph: CallGraph) -> list[LintViolation]:
+def check_dimensions(index: ProjectIndex, graph: CallGraph) -> list[CheckViolation]:
     """Run the dimension pass over every indexed function."""
-    violations: list[LintViolation] = []
+    violations: list[CheckViolation] = []
     for func in index.functions.values():
         module = index.modules.get(func.module)
         if module is None:

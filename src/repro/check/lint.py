@@ -1,4 +1,4 @@
-"""AST lint rules enforcing the repo's simulation discipline.
+"""The static pass of ``repro check``: every source rule over one parse.
 
 The simulator's headline numbers are only trustworthy while a handful of
 code-level invariants hold everywhere: time comes from the simulated clock
@@ -7,13 +7,22 @@ code-level invariants hold everywhere: time comes from the simulated clock
 times are compared with tolerances (never float ``==``), engine DAG tasks
 are priced through the shared ``op_task``/``transfer_task`` constructors
 (so every duration carries a decomposable :class:`TaskCost`), tracing is
-opt-in and zero-cost (``tracer=None`` defaults), and nothing that feeds a
-scheduling decision iterates an unordered set.  Scattered per-feature
-tests cannot enforce discipline like that; a linter can.
+opt-in and zero-cost (``tracer=None`` defaults), nothing that feeds a
+scheduling decision iterates an unordered set, and arithmetic on
+:mod:`repro.units` quantities is dimensionally consistent.  Scattered
+per-feature tests cannot enforce discipline like that; a static pass can.
 
-``lint_paths`` walks Python files, parses each with :mod:`ast`, and runs
-the rule set below (:data:`RULES`).  A violation can be suppressed at its
-line with an inline comment::
+``lint_paths`` parses the file set once into a
+:class:`~repro.check.callgraph.ProjectIndex` and a
+:class:`~repro.check.callgraph.CallGraph`, then runs the rule table
+(:data:`RULES`) in three groups:
+
+* the per-file rules below, over every parsed file;
+* the dimension pass (:mod:`repro.check.dimensions`, ``dim-*``);
+* the seed-provenance pass (:mod:`repro.check.provenance`), which owns
+  every RNG rule (``stdlib-random``, ``np-legacy-random``, ``rng-*``).
+
+A violation can be suppressed at its line with an inline comment::
 
     res[dep].end == tr.start  # repro-lint: disable=float-time-eq -- exact by construction
 
@@ -29,38 +38,50 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.check.registry import FLOW_RULES
+from repro.check.callgraph import CallGraph, ProjectIndex, dotted_name
+from repro.check.dimensions import check_dimensions
+from repro.check.provenance import check_provenance
+from repro.check.report import CheckViolation, ToolReport
 
 __all__ = [
     "RULES",
-    "LintViolation",
     "lint_source",
     "lint_paths",
     "iter_python_files",
-    "report_as_dict",
+    "selected_rules",
 ]
 
 # Rule id -> one-line description.  docs/static_analysis.md carries the
 # full rationale, examples, and suppression guidance for each.
 RULES: dict[str, str] = {
+    # Per-file rules (this module).
     "wall-clock": "wall-clock time source; simulation code must use the simulated clock",
-    "stdlib-random": "stdlib `random` module; use an explicitly seeded np.random.Generator",
-    "np-legacy-random": "legacy np.random module-level call; use np.random.default_rng(seed)",
     "float-time-eq": "float ==/!= on simulated times or durations; compare with a tolerance",
     "inline-sim-task": "SimTask constructed inline; price tasks via op_task/transfer_task",
     "tracer-default": "tracer parameters must default to None (NullTracer-compatible)",
     "mutable-default": "mutable default argument",
     "unstable-iteration": "iteration over an unordered set; use sorted() or dict.fromkeys()",
+    # Dimension pass (repro.check.dimensions).
+    "dim-add-mix": "addition/subtraction/min/max over mismatched physical dimensions",
+    "dim-product": "product or quotient lands outside the recognized dimension table",
+    "dim-return": "returned expression's dimension contradicts the declared return dimension",
+    "dim-arg": "argument's dimension contradicts the parameter's declared dimension",
+    # Seed-provenance pass (repro.check.provenance).
+    "stdlib-random": "stdlib `random` module; use an explicitly seeded np.random.Generator",
+    "np-legacy-random": "legacy np.random module-level call; use np.random.default_rng(seed)",
+    "rng-ambient": "random Generator created at module scope (ambient global state)",
+    "rng-unseeded": "random Generator created without a seed",
+    "rng-untracked-seed": "Generator seed has no provable provenance from an explicit seed",
+    # Meta rules.
     "bad-suppression": "suppression comment names an unknown rule",
     "parse-error": "file does not parse",
 }
 
-# Rules that cannot be selected or suppressed away — they guard the linter
-# itself rather than the linted code.
+# Rules that cannot be selected or suppressed away — they guard the pass
+# itself rather than the analyzed code.
 _META_RULES = ("bad-suppression", "parse-error")
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_\-, ]+)")
@@ -85,20 +106,6 @@ _WALL_CLOCK_SUFFIXES = (
     "date.today",
 )
 
-# The np.random attributes that are part of the *seeded* Generator API.
-# Everything else on np.random is the legacy global-state surface.
-_NP_RANDOM_ALLOWED = {
-    "default_rng",
-    "Generator",
-    "SeedSequence",
-    "BitGenerator",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "SFC64",
-    "MT19937",
-}
-
 # Identifier fragments that mark a value as simulated time / duration.
 # Identifiers are split on underscores; any matching fragment counts.
 _TIME_WORDS = {
@@ -122,41 +129,6 @@ _TIME_WORDS = {
 }
 
 _MUTABLE_CALLS = {"list", "dict", "set", "bytearray"}
-
-
-@dataclass(frozen=True)
-class LintViolation:
-    """One rule firing at one source location."""
-
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
-
-
-def _dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for an Attribute/Name chain, None for anything dynamic."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _is_timelike(node: ast.AST) -> bool:
@@ -185,58 +157,33 @@ def _is_non_numeric_literal(node: ast.AST) -> bool:
 
 
 class _RuleVisitor(ast.NodeVisitor):
-    """Single-pass AST walk emitting raw (unsuppressed) violations."""
+    """Per-file rules: one AST walk emitting raw (unsuppressed) violations."""
 
-    def __init__(self, path: str, enabled: set[str]) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.enabled = enabled
-        self.violations: list[LintViolation] = []
+        self.violations: list[CheckViolation] = []
         # The telemetry package may take required tracer arguments — its
         # whole purpose is tracing; everywhere else tracing must be opt-in.
         self._tracer_exempt = "telemetry" in Path(path).parts
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        if rule in self.enabled:
-            self.violations.append(
-                LintViolation(
-                    rule=rule,
-                    path=self.path,
-                    line=getattr(node, "lineno", 1),
-                    col=getattr(node, "col_offset", 0),
-                    message=message,
-                )
+        self.violations.append(
+            CheckViolation(
+                tool="lint",
+                rule=rule,
+                message=message,
+                path=self.path,
+                line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0),
             )
-
-    # ---- imports -------------------------------------------------------------
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "random" or alias.name.startswith("random."):
-                self._emit(
-                    "stdlib-random",
-                    node,
-                    "import of the stdlib `random` module (global hidden "
-                    "state); use a seeded np.random.Generator",
-                )
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "random":
-            self._emit(
-                "stdlib-random",
-                node,
-                "import from the stdlib `random` module (global hidden "
-                "state); use a seeded np.random.Generator",
-            )
-        self.generic_visit(node)
+        )
 
     # ---- calls ---------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        chain = _dotted_name(node.func)
+        chain = dotted_name(node.func)
         if chain is not None:
             self._check_wall_clock(node, chain)
-            self._check_random_calls(node, chain)
         func = node.func
         name = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None
@@ -261,26 +208,6 @@ class _RuleVisitor(ast.NodeVisitor):
                 f"`{chain}()` reads the wall clock; simulation code must "
                 "derive time from the simulated clock",
             )
-
-    def _check_random_calls(self, node: ast.Call, chain: str) -> None:
-        if chain.startswith("random."):
-            self._emit(
-                "stdlib-random",
-                node,
-                f"`{chain}()` uses the stdlib global RNG; use a seeded "
-                "np.random.Generator",
-            )
-            return
-        parts = chain.split(".")
-        if len(parts) == 3 and parts[0] in ("np", "numpy") and parts[1] == "random":
-            fn = parts[2]
-            if fn not in _NP_RANDOM_ALLOWED:
-                self._emit(
-                    "np-legacy-random",
-                    node,
-                    f"`{chain}()` mutates numpy's global RNG state; use "
-                    "np.random.default_rng(seed)",
-                )
 
     # ---- comparisons ---------------------------------------------------------
 
@@ -363,7 +290,7 @@ class _RuleVisitor(ast.NodeVisitor):
         if isinstance(node, ast.Constant) and node.value is None:
             return True
         if isinstance(node, ast.Call):
-            name = _dotted_name(node.func)
+            name = dotted_name(node.func)
             return name is not None and name.split(".")[-1] == "NullTracer"
         return False
 
@@ -428,67 +355,6 @@ def _collect_suppressions(source: str) -> dict[int, list[str]]:
     return suppressed
 
 
-def lint_source(
-    source: str, path: str = "<string>", rules: Iterable[str] | None = None
-) -> list[LintViolation]:
-    """Lint one module's source; returns violations after suppression.
-
-    ``rules`` selects a subset of :data:`RULES` (default: all).  Unknown
-    rule names raise ``ValueError``.  Suppression comments apply to the
-    line each violation anchors on; a suppression naming an unknown rule
-    is reported as a ``bad-suppression`` violation.
-    """
-    if rules is None:
-        enabled = set(RULES) - set(_META_RULES)
-    else:
-        enabled = set(rules)
-        unknown = enabled - set(RULES)
-        if unknown:
-            raise ValueError(f"unknown lint rules: {sorted(unknown)}")
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            LintViolation(
-                rule="parse-error",
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-
-    visitor = _RuleVisitor(path, enabled)
-    visitor.visit(tree)
-    suppressions = _collect_suppressions(source)
-
-    kept = [
-        v
-        for v in visitor.violations
-        if v.rule not in suppressions.get(v.line, [])
-    ]
-    # Suppressions are validated against every rule any check tool can
-    # emit (lint + the flow passes share the comment syntax), so a
-    # flow-rule suppression does not trip the linter — but a typo still
-    # does.
-    suppressible = (set(RULES) | set(FLOW_RULES)) - set(_META_RULES)
-    for line in sorted(suppressions):
-        for name in suppressions[line]:
-            if name not in suppressible:
-                kept.append(
-                    LintViolation(
-                        rule="bad-suppression",
-                        path=path,
-                        line=line,
-                        col=0,
-                        message=f"suppression names unknown rule {name!r}; "
-                        f"known rules: {', '.join(sorted(suppressible))}",
-                    )
-                )
-    kept.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return kept
-
-
 def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
     """Expand files/directories into a sorted list of ``.py`` files."""
     files: list[Path] = []
@@ -503,27 +369,106 @@ def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
     return files
 
 
+def selected_rules(rules: Iterable[str] | None = None) -> set[str]:
+    """The rule ids ``rules`` selects (default: all).
+
+    Raises:
+        ValueError: On a name that is not in :data:`RULES`.
+    """
+    if rules is None:
+        return set(RULES)
+    selected = set(rules)
+    unknown = selected - set(RULES)
+    if unknown:
+        raise ValueError(f"unknown lint rules: {sorted(unknown)}")
+    return selected
+
+
+def _analyze(index: ProjectIndex, rules: Iterable[str] | None) -> ToolReport:
+    """Run every selected rule over a parsed file set; apply suppressions."""
+    enabled = selected_rules(rules)
+    graph = CallGraph.build(index)
+    found: list[CheckViolation] = []
+    # Per-file rules walk every parsed file: ``index.modules`` keeps one
+    # file per module name.
+    for module in index.parsed:
+        visitor = _RuleVisitor(module.path)
+        visitor.visit(module.tree)
+        found += visitor.violations
+    found += check_dimensions(index, graph) + check_provenance(index, graph)
+
+    violations = [
+        CheckViolation(
+            tool="lint",
+            rule="parse-error",
+            message=message,
+            path=path,
+            line=line,
+            col=0,
+        )
+        for path, line, message in index.parse_errors
+    ]
+    suppressions = {m.path: _collect_suppressions(m.source) for m in index.parsed}
+    violations += [
+        v
+        for v in found
+        if v.rule in enabled and v.rule not in suppressions[v.path].get(v.line, [])
+    ]
+    suppressible = sorted(set(RULES) - set(_META_RULES))
+    for path, by_line in suppressions.items():
+        for line, names in by_line.items():
+            violations += [
+                CheckViolation(
+                    tool="lint",
+                    rule="bad-suppression",
+                    message=f"suppression names unknown rule {name!r}; "
+                    f"known rules: {', '.join(suppressible)}",
+                    path=path,
+                    line=line,
+                    col=0,
+                )
+                for name in names
+                if name not in suppressible
+            ]
+    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+    return ToolReport(
+        tool="lint",
+        ok=not violations,
+        violations=violations,
+        stats={
+            "n_files": len(index.parsed) + len(index.parse_errors),
+            "n_functions": len(index.functions),
+            "n_call_edges": len(graph.edges),
+            # Call sites of the blessed task constructors.
+            "n_task_sites": sum(
+                site.callee.endswith((":op_task", ":transfer_task"))
+                for site in graph.edges
+            ),
+        },
+    )
+
+
+def lint_source(
+    source: str, path: str = "<string>", rules: Iterable[str] | None = None
+) -> list[CheckViolation]:
+    """Run every rule over one module's source; returns the violations kept.
+
+    The snippet is analyzed as a one-file project.  ``rules`` selects a
+    subset of :data:`RULES` (default: all; unknown names raise
+    ``ValueError``); ``parse-error`` and ``bad-suppression`` always run.
+    Suppression comments apply to the line each violation anchors on.
+    """
+    index = ProjectIndex()
+    index.add(path, source)
+    return _analyze(index, rules).violations
+
+
 def lint_paths(
     paths: Sequence[str | Path], rules: Iterable[str] | None = None
-) -> tuple[list[LintViolation], int]:
-    """Lint files/directories; returns (violations, files linted)."""
-    files = iter_python_files(paths)
-    violations: list[LintViolation] = []
-    for file in files:
-        source = file.read_text(encoding="utf-8")
-        violations.extend(lint_source(source, path=str(file), rules=rules))
-    return violations, len(files)
+) -> ToolReport:
+    """Run every rule over files/directories as one project.
 
-
-def report_as_dict(violations: Sequence[LintViolation], n_files: int) -> dict:
-    """Machine-readable lint report (the ``--format json`` payload)."""
-    by_rule: dict[str, int] = {}
-    for v in violations:
-        by_rule[v.rule] = by_rule.get(v.rule, 0) + 1
-    return {
-        "ok": not violations,
-        "n_files": n_files,
-        "n_violations": len(violations),
-        "by_rule": dict(sorted(by_rule.items())),
-        "violations": [v.to_dict() for v in violations],
-    }
+    Returns the ``lint`` tool report; its stats count the files,
+    functions, resolved call edges and task-constructor sites analyzed.
+    """
+    return _analyze(ProjectIndex.build(iter_python_files(paths)), rules)

@@ -1,13 +1,19 @@
-"""Seed-provenance dataflow: every Generator must trace to a seed.
+"""Seed provenance: every random draw must trace to an explicit seed.
 
 Bit-identical replay — the property every bench baseline, chaos
 scenario, and the upcoming vectorized event loop depend on — holds only
-if every ``numpy.random.Generator`` in the tree derives from an explicit
-seed.  The per-file linter already catches the syntactic case
-(``default_rng()`` with no argument); this pass proves the semantic one
-by chasing each creation site's seed expression backwards through the
-project call graph:
+if every random draw comes from a ``numpy.random.Generator`` that derives
+from an explicit seed.  This pass resolves each call chain through its
+module's import table (so ``import numpy.random as nr`` and ``from numpy
+import random`` are seen for what they are) and proves the seed of each
+Generator by chasing its expression backwards through the project call
+graph:
 
+* ``stdlib-random`` — an import of the stdlib ``random`` module, or a
+  call into it: hidden global state.
+* ``np-legacy-random`` — a call into numpy's legacy module-level RNG
+  (``numpy.random.seed``, ``numpy.random.rand``, ...), which mutates
+  global state.
 * ``rng-ambient`` — a Generator created at module scope is ambient
   global state: import order becomes part of the replay contract.
 * ``rng-unseeded`` — a creation site whose seed argument is missing or
@@ -16,16 +22,19 @@ project call graph:
   derive from an explicit seed parameter, a seed-named config field, a
   literal, or another tracked Generator.
 
+The first two rules need only the import table, so they run over every
+parsed file; the Generator rules run over the indexed modules.
+
 An expression is *deterministic* if it is a literal; arithmetic over
 deterministic parts; a name or attribute whose identifier is seed-ish
 (contains ``seed``, e.g. ``seed``, ``SEED``, ``fault_seed``,
-``self.config.seed``); a ``SeedSequence``/``spawn``/``integers`` draw
-from a tracked source; a local bound to a deterministic expression; a
-parameter that is seed-named or ``Generator``-annotated (the provenance
-obligation moves to the caller); or a plain parameter whose *every*
-call-site argument is itself deterministic — the interprocedural step
-that catches seeds laundered through helpers the graph cannot vouch
-for.
+``self.config.seed``); a ``SeedSequence``/bit-generator built from
+deterministic parts; a ``spawn``/``integers`` draw from a tracked
+source; a local bound to a deterministic expression; a parameter that
+is seed-named or ``Generator``-annotated (the provenance obligation
+moves to the caller); or a plain parameter whose *every* call-site
+argument is itself deterministic — the interprocedural step that catches
+seeds laundered through helpers the graph cannot vouch for.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from repro.check.callgraph import (
     bind_args,
     dotted_name,
 )
-from repro.check.lint import LintViolation
+from repro.check.report import CheckViolation
 
 __all__ = ["check_provenance"]
 
@@ -56,7 +65,13 @@ _GENERATOR_MAKERS = {
     "numpy.random.MT19937",
     "numpy.random.SFC64",
 }
-_SEED_SOURCES = {"numpy.random.SeedSequence"}
+# Calls that are as deterministic as their arguments: a SeedSequence, or
+# a bit generator wrapped into a Generator (the inner creation site is
+# itself checked).
+_SEED_SOURCES = {"numpy.random.SeedSequence"} | _GENERATOR_MAKERS
+# The seeded Generator API.  Every other call on numpy.random is the
+# legacy global-state surface.
+_SEEDED_API = _SEED_SOURCES | {"numpy.random.BitGenerator"}
 _GENERATOR_ANNOTATIONS = {"Generator", "SeedSequence", "BitGenerator"}
 _DERIVING_METHODS = {"integers", "spawn", "choice", "random", "bit_generator"}
 _DETERMINISTIC_BUILTINS = {"int", "abs", "sum", "tuple", "list", "sorted"}
@@ -94,14 +109,64 @@ class _ProvenanceChecker:
     def __init__(self, index: ProjectIndex, graph: CallGraph):
         self.index = index
         self.graph = graph
-        self.violations: list[LintViolation] = []
+        self.violations: list[CheckViolation] = []
         self._local_cache: dict[str, dict[str, ast.expr]] = {}
 
     # -- entry --------------------------------------------------------
-    def run(self) -> list[LintViolation]:
+    def run(self) -> list[CheckViolation]:
+        for module in self.index.parsed:
+            self._check_global_rng(module)
         for module in self.index.modules.values():
             self._walk_module(module)
         return self.violations
+
+    # -- global-state RNG ---------------------------------------------
+    def _check_global_rng(self, module: ModuleInfo) -> None:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module or ""]
+            else:
+                imported = []
+            if any(name.split(".")[0] == "random" for name in imported):
+                self.violations.append(
+                    self._violation(
+                        "stdlib-random",
+                        module,
+                        node,
+                        "import of the stdlib `random` module (global hidden "
+                        "state); use a seeded np.random.Generator",
+                    )
+                )
+            chain = dotted_name(node.func) if isinstance(node, ast.Call) else None
+            if chain is None:
+                continue
+            qualified = _qualify(module, chain)
+            if qualified.startswith("random."):
+                self.violations.append(
+                    self._violation(
+                        "stdlib-random",
+                        module,
+                        node,
+                        f"`{chain}()` uses the stdlib global RNG; use a seeded "
+                        "np.random.Generator",
+                    )
+                )
+            if (
+                qualified.startswith("numpy.random.")
+                and qualified.count(".") == 2
+                and qualified not in _SEEDED_API
+            ):
+                self.violations.append(
+                    self._violation(
+                        "np-legacy-random",
+                        module,
+                        node,
+                        f"`{chain}()` mutates numpy's global RNG state; use "
+                        "np.random.default_rng(seed)",
+                    )
+                )
 
     def _walk_module(self, module: ModuleInfo) -> None:
         # Recursive walk tracking the enclosing function, mirroring the
@@ -210,8 +275,9 @@ class _ProvenanceChecker:
 
     def _violation(
         self, rule: str, module: ModuleInfo, node: ast.AST, message: str
-    ) -> LintViolation:
-        return LintViolation(
+    ) -> CheckViolation:
+        return CheckViolation(
+            tool="lint",
             rule=rule,
             path=module.path,
             line=getattr(node, "lineno", 1),
@@ -366,7 +432,7 @@ class _ProvenanceChecker:
                     )
                     if not ok:
                         return False, reason
-                return True, "SeedSequence over deterministic parts"
+                return True, f"{chain}() over deterministic parts"
             if chain in _DETERMINISTIC_BUILTINS:
                 for arg in expr.args:
                     ok, reason = self._deterministic(
@@ -435,6 +501,6 @@ class _ProvenanceChecker:
         return True, f"helper {func.qualname} returns deterministic values"
 
 
-def check_provenance(index: ProjectIndex, graph: CallGraph) -> list[LintViolation]:
+def check_provenance(index: ProjectIndex, graph: CallGraph) -> list[CheckViolation]:
     """Run the seed-provenance pass over every module."""
     return _ProvenanceChecker(index, graph).run()

@@ -1,11 +1,10 @@
-"""Unified check report: one schema over lint + flow + schedule verification.
+"""Unified check report: one schema over the static pass + schedule verification.
 
-The three check tools grew three ad-hoc report shapes: the linter's
-``{rule, path, line, col}`` records, the flow passes' identical shape,
-and the schedule validator's ``{check, task, time}`` records nested in
-per-case documents.  ``repro check`` runs them (all three, or the subset
-named by ``--only``) and merges them into one document with one violation
-schema, so CI and humans consume a single artifact:
+``repro check`` runs two tools, or the subset named by ``--only``: the
+static pass (:mod:`repro.check.lint`, source locations) and the schedule
+sweep (:mod:`repro.check.verify`, whose ``{check, task, time}`` records
+nest in per-case documents).  Their findings merge into one document with
+one violation schema, so CI and humans consume a single artifact:
 
 * :class:`CheckViolation` — the shared violation record.  Static
   findings carry ``path``/``line``/``col``; dynamic findings carry
@@ -37,15 +36,15 @@ __all__ = [
 
 
 # The tools ``repro check`` can run, in report order.
-CHECK_TOOLS = ("lint", "flow", "schedule")
+CHECK_TOOLS = ("lint", "schedule")
 
 
 @dataclass(frozen=True)
 class CheckViolation:
     """One finding from any check tool, in the merged schema."""
 
-    tool: str  # "lint" | "flow" | "schedule"
-    rule: str  # lint/flow rule id, or the schedule check name
+    tool: str  # "lint" | "schedule"
+    rule: str  # static rule id, or the schedule check name
     message: str
     path: str | None = None
     line: int | None = None
@@ -123,58 +122,6 @@ class CheckReport:
         }
 
 
-# -- adapters -----------------------------------------------------------
-
-
-def _lint_tool(paths: Sequence[Path | str], rules: Iterable[str] | None) -> ToolReport:
-    from repro.check.lint import lint_paths
-
-    violations, n_files = lint_paths(paths, rules=rules)
-    return ToolReport(
-        tool="lint",
-        ok=not violations,
-        violations=[
-            CheckViolation(
-                tool="lint",
-                rule=v.rule,
-                message=v.message,
-                path=v.path,
-                line=v.line,
-                col=v.col,
-            )
-            for v in violations
-        ],
-        stats={"n_files": n_files},
-    )
-
-
-def _flow_tool(paths: Sequence[Path | str], rules: Iterable[str] | None) -> ToolReport:
-    from repro.check.flow import run_flow
-
-    report = run_flow(paths, rules=rules)
-    return ToolReport(
-        tool="flow",
-        ok=report.ok,
-        violations=[
-            CheckViolation(
-                tool="flow",
-                rule=v.rule,
-                message=v.message,
-                path=v.path,
-                line=v.line,
-                col=v.col,
-            )
-            for v in report.violations
-        ],
-        stats={
-            "n_files": report.n_files,
-            "n_functions": report.n_functions,
-            "n_call_edges": report.n_call_edges,
-            "n_task_sites": report.n_task_sites,
-        },
-    )
-
-
 def _schedule_tool(quick: bool) -> ToolReport:
     from repro.check.verify import run_verification
 
@@ -215,17 +162,16 @@ def run_check(
 
     ``only`` names the tools to run (a subset of :data:`CHECK_TOOLS`;
     reports follow that tuple's order).  ``rules`` restricts the static
-    passes to the named lint and flow rules; each pass runs the names it
-    owns.  The schedule tool simulates the whole bench grid, seconds of
-    work vs. the static passes' milliseconds; ``quick`` selects its
-    reduced grid.
+    pass to the named rules.  The schedule tool simulates the whole bench
+    grid, seconds of work vs. the static pass's milliseconds; ``quick``
+    selects its reduced grid.
 
     Raises:
-        ValueError: On an unknown tool or rule name, or no tool at all (a
-            check that runs nothing must not pass).
+        ValueError: On an unknown tool or rule name (also when the static
+            pass is not selected), or no tool at all (a check that runs
+            nothing must not pass).
     """
-    from repro.check.lint import RULES
-    from repro.check.registry import FLOW_RULES, all_rule_names
+    from repro.check.lint import lint_paths, selected_rules
 
     selected = set(only)
     if not selected or not selected <= set(CHECK_TOOLS):
@@ -233,19 +179,10 @@ def run_check(
             f"check tools must be a non-empty subset of {CHECK_TOOLS}, "
             f"got {sorted(selected)}"
         )
-    lint_rules = flow_rules = None
-    if rules is not None:
-        rules = list(rules)
-        unknown = sorted(set(rules) - all_rule_names())
-        if unknown:
-            raise ValueError(f"unknown rules: {unknown}")
-        lint_rules = [r for r in rules if r in RULES]
-        flow_rules = [r for r in rules if r in FLOW_RULES]
+    enabled = selected_rules(rules)  # validated even when lint is not selected
     tools = []
     if "lint" in selected:
-        tools.append(_lint_tool(paths, lint_rules))
-    if "flow" in selected:
-        tools.append(_flow_tool(paths, flow_rules))
+        tools.append(lint_paths(paths, rules=enabled))
     if "schedule" in selected:
         tools.append(_schedule_tool(quick))
     return CheckReport(tools=tools)

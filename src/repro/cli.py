@@ -21,22 +21,19 @@ Subcommands::
                                          degradation-aware serving, --trace
                                          exports Chrome trace / JSONL / PNG
     repro fleet     [--policy least-loaded] [--no-failover] [--disaggregate]
+                    [--explain 9] [--deep-trace fleet.json]
                                          run the canonical 3-replica fleet
                                          chaos scenario, validate it, and
-                                         optionally export trace/summary
-                                         (--deep-trace/--alerts/--timeseries
-                                         turn on fleet-wide observability)
-    repro explain-request 9 [--format json] [--json out.json]
-                                         replay the fleet scenario and
-                                         reconstruct one request's causal
-                                         timeline across replicas, with
-                                         cumulative fleet joules per entry
+                                         optionally export trace/summary;
+                                         --deep-trace/--alerts/--timeseries/
+                                         --explain turn on fleet-wide
+                                         observability and energy metering
+                                         (ledger reconciled against the
+                                         power meter), --explain RID prints
+                                         one request's causal timeline
     repro energy    [--model opt-6.7b --machine pc-low] [--whatif]
                                          J/token, watts, and gCO2 per
-                                         engine for one request shape;
-                                         --fleet meters the chaos fleet
-                                         scenario and reconciles the
-                                         ledger against the power meter
+                                         engine for one request shape
     repro bounds    --model opt-30b --machine pc-high
                                          analytic roofline throughput bounds
     repro attribution --model opt-6.7b --machine pc-low
@@ -49,12 +46,12 @@ Subcommands::
                                          re-run the suite, diff against the
                                          committed baseline, exit non-zero on
                                          regression
-    repro check [paths ...] [--only lint,flow,schedule] [--rules ...]
+    repro check [paths ...] [--only lint,schedule] [--rules ...]
                 [--json-out report.json] [--full]
-                                         simulation-discipline lint,
-                                         interprocedural units and seed-
-                                         provenance analysis, and schedule
-                                         replay over the bench grid, in one
+                                         one static pass (simulation
+                                         discipline, units, seed
+                                         provenance) and schedule replay
+                                         over the bench grid, in one
                                          merged report
 
 Also runnable as ``python -m repro.cli ...``.
@@ -256,55 +253,53 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --trace: also write the report + telemetry summary as JSON",
     )
 
-    def add_fleet_scenario_flags(p: argparse.ArgumentParser) -> None:
-        """Canonical fleet-chaos scenario knobs, shared by every subcommand
-        that replays it (``fleet``, ``explain-request``, ``energy --fleet``)."""
-        p.add_argument(
-            "--policy", default="round-robin", choices=sorted(ROUTER_POLICIES)
-        )
-        p.add_argument("--requests", type=int, default=48)
-        p.add_argument(
-            "--sessions",
-            type=int,
-            default=None,
-            help="tag conversation ids 0..N-1 onto the stream (session-affinity)",
-        )
-        p.add_argument(
-            "--no-chaos",
-            action="store_true",
-            dest="no_chaos",
-            help="skip the replica crash (fault-free reference fleet)",
-        )
-        p.add_argument(
-            "--no-failover",
-            action="store_true",
-            dest="no_failover",
-            help="blind-router ablation: keep dispatching to dead replicas",
-        )
-        p.add_argument(
-            "--disaggregate",
-            action="store_true",
-            help="prefill on the A100 replica, decode on the PCs, KV streamed over",
-        )
-        p.add_argument(
-            "--hedge", action="store_true", help="hedge deadline-critical dispatches"
-        )
-        p.add_argument(
-            "--brownout",
-            action="store_true",
-            help="shed low-priority arrivals while a replica is detected down",
-        )
-
     fleet = sub.add_parser(
         "fleet",
         help="run the canonical 3-replica fleet chaos scenario and validate it",
     )
-    add_fleet_scenario_flags(fleet)
+    fleet.add_argument(
+        "--policy", default="round-robin", choices=sorted(ROUTER_POLICIES)
+    )
+    fleet.add_argument("--requests", type=int, default=48)
+    fleet.add_argument(
+        "--sessions",
+        type=int,
+        default=None,
+        help="tag conversation ids 0..N-1 onto the stream (session-affinity)",
+    )
+    fleet.add_argument(
+        "--no-chaos",
+        action="store_true",
+        dest="no_chaos",
+        help="skip the replica crash (fault-free reference fleet)",
+    )
+    fleet.add_argument(
+        "--no-failover",
+        action="store_true",
+        dest="no_failover",
+        help="blind-router ablation: keep dispatching to dead replicas",
+    )
+    fleet.add_argument(
+        "--disaggregate",
+        action="store_true",
+        help="prefill on the A100 replica, decode on the PCs, KV streamed over",
+    )
+    fleet.add_argument(
+        "--hedge", action="store_true", help="hedge deadline-critical dispatches"
+    )
+    fleet.add_argument(
+        "--brownout",
+        action="store_true",
+        help="shed low-priority arrivals while a replica is detected down",
+    )
     fleet.add_argument(
         "--trace", default=None, help="write a Chrome trace of the fleet run"
     )
     fleet.add_argument(
-        "--summary", default=None, help="write the fleet report JSON"
+        "--summary",
+        default=None,
+        help="write the fleet report JSON (a deep run adds the energy "
+        "document, --explain the timeline)",
     )
     fleet.add_argument(
         "--verify-out",
@@ -331,27 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the sampled fleet time-series as JSONL (deep tracing)",
     )
-
-    explain = sub.add_parser(
-        "explain-request",
-        help=(
-            "replay the canonical fleet scenario with deep tracing and "
-            "reconstruct one request's cross-replica causal timeline"
-        ),
-    )
-    explain.add_argument("request_id", type=int)
-    add_fleet_scenario_flags(explain)
-    explain.add_argument(
-        "--format",
-        default="text",
-        choices=("text", "json"),
-        help="print the timeline as a log (text) or as the raw JSON document",
-    )
-    explain.add_argument(
-        "--json",
+    fleet.add_argument(
+        "--explain",
+        type=int,
         default=None,
-        dest="json_out",
-        help="also write the timeline as JSON",
+        metavar="RID",
+        help="print request RID's cross-replica causal timeline (deep tracing)",
     )
 
     energy = sub.add_parser(
@@ -378,22 +358,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also print the perf-per-watt knob sensitivity of a decode iteration",
     )
     energy.add_argument(
-        "--fleet",
-        action="store_true",
-        dest="fleet_mode",
-        help="meter the canonical fleet chaos scenario instead of one request",
-    )
-    add_fleet_scenario_flags(energy)
-    energy.add_argument(
         "--json",
         default=None,
         dest="json_out",
         help="also write the energy report as JSON",
-    )
-    energy.add_argument(
-        "--timeseries",
-        default=None,
-        help="write the sampled watt lanes as JSONL (--fleet only)",
     )
 
     bounds = sub.add_parser("bounds", help="analytic roofline throughput bounds")
@@ -441,23 +409,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="lint, flow analysis and schedule verification, one merged report",
+        help="static analysis and schedule verification, one merged report",
     )
     check.add_argument(
         "paths",
         nargs="*",
         default=["src/repro"],
-        help="files or directories for the static passes (default: src/repro)",
+        help="files or directories for the static pass (default: src/repro)",
     )
     check.add_argument(
         "--only",
         default=",".join(CHECK_TOOLS),
-        help="comma-separated subset of lint,flow,schedule to run (default: all)",
+        help="comma-separated subset of lint,schedule to run (default: all)",
     )
     check.add_argument(
         "--rules",
         default=None,
-        help="comma-separated lint/flow rules to run (default: all)",
+        help="comma-separated static rules to run (default: all)",
     )
     check.add_argument("--format", default="text", choices=("text", "json"))
     check.add_argument(
@@ -756,23 +724,26 @@ def _write_trace(args: argparse.Namespace, tracer, report, title: str) -> None: 
     print("wrote " + ", ".join(outputs))
 
 
-def _deep_fleet_tracer():
-    """The deep-observability tracer every fleet-replay subcommand shares."""
-    from repro.bench.fleet_chaos import DEFAULT_SLO, default_fleet_monitor
-    from repro.telemetry import FleetTracer
+def _cmd_fleet(args: argparse.Namespace) -> int:
+    import json
 
-    return FleetTracer(monitor=default_fleet_monitor(), slo=DEFAULT_SLO)
+    from repro.bench.fleet_chaos import (
+        DEFAULT_SLO,
+        build_fleet,
+        default_fleet_monitor,
+        fleet_requests,
+    )
+    from repro.check.schedule import validate_fleet_energy, validate_fleet_run
+    from repro.telemetry import FleetTracer, Tracer, save_chrome_trace
 
-
-def _run_fleet_scenario(args: argparse.Namespace, tracer=None):  # repro-lint: disable=tracer-default -- CLI plumbing; callers pass their tracer explicitly
-    """One loader path for the canonical fleet scenario.
-
-    ``fleet``, ``explain-request``, and ``energy --fleet`` all replay the
-    same 3-replica chaos scenario; this is the single place its knobs
-    (``add_fleet_scenario_flags``) turn into a router run.
-    """
-    from repro.bench.fleet_chaos import build_fleet, fleet_requests
-
+    deep = any(
+        flag is not None
+        for flag in (args.deep_trace, args.alerts, args.timeseries, args.explain)
+    )
+    if deep:
+        tracer = FleetTracer(monitor=default_fleet_monitor(), slo=DEFAULT_SLO)
+    else:
+        tracer = Tracer() if args.trace is not None else None
     router = build_fleet(
         router_policy=args.policy,
         chaos=not args.no_chaos,
@@ -782,35 +753,24 @@ def _run_fleet_scenario(args: argparse.Namespace, tracer=None):  # repro-lint: d
         brownout=args.brownout,
         tracer=tracer,
     )
-    return router.run(fleet_requests(args.requests, sessions=args.sessions))
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.fleet_chaos import DEFAULT_SLO
-    from repro.check.schedule import validate_fleet_run
-    from repro.telemetry import Tracer, save_chrome_trace
-
-    deep = (
-        args.deep_trace is not None
-        or args.alerts is not None
-        or args.timeseries is not None
-    )
-    if deep:
-        from repro.telemetry import save_fleet_chrome_trace
-
-        tracer = _deep_fleet_tracer()
-    else:
-        tracer = Tracer() if args.trace is not None else None
-    result = _run_fleet_scenario(args, tracer)
+    result = router.run(fleet_requests(args.requests, sessions=args.sessions))
     violations = validate_fleet_run(result, tracer=tracer if deep else None)
+    summary = result.to_dict(slo=DEFAULT_SLO)
 
     fleet_joules = None
     if deep:
-        from repro.telemetry.power import fleet_energy
+        from repro.telemetry.power import fleet_energy, fleet_generated_tokens
 
         fleet_joules = fleet_energy(result, tracer)
+        energy_violations = validate_fleet_energy(fleet_joules)
+        violations += energy_violations
+        tokens = fleet_generated_tokens(result)
+        summary["energy"] = {
+            **fleet_joules.to_dict(),
+            "j_per_token": fleet_joules.j_per_token(tokens),
+            "generated_tokens": tokens,
+            "reconciliation_ok": not energy_violations,
+        }
 
     report = result.report
     rows = [
@@ -855,16 +815,35 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"burn-rate alerts: {len(alerts)}")
         for alert in alerts:
             print(f"  {alert.format()}")
-    if fleet_joules is not None:
-        from repro.telemetry.power import fleet_generated_tokens
-
-        tokens = fleet_generated_tokens(result)
+        drift = abs(
+            fleet_joules.metered_joules
+            - (fleet_joules.dynamic_joules + fleet_joules.static_joules)
+        )
         print(
             f"energy: {fleet_joules.total_joules:.0f} J over "
             f"{fleet_joules.horizon:.1f} s ({fleet_joules.avg_watts:.0f} W avg), "
             f"{fleet_joules.j_per_token(tokens):.2f} J/token, "
-            f"{fleet_joules.grams_co2():.2f} gCO2"
+            f"{fleet_joules.grams_co2():.2f} gCO2, "
+            f"ledger vs meter drift {drift:.2e} J"
         )
+
+    explained = True
+    if args.explain is not None:
+        from repro.telemetry import explain_request, format_explanation
+
+        explanation = explain_request(
+            tracer, result, args.explain, energy=fleet_joules
+        )
+        explained = bool(explanation["timeline"])
+        if explained:
+            summary["explanation"] = explanation
+            print(format_explanation(explanation))
+        else:
+            print(
+                f"error: request {args.explain} not found in this scenario "
+                f"(ids run 0..{args.requests - 1})",
+                file=sys.stderr,
+            )
 
     outputs = []
     if args.trace is not None:
@@ -872,6 +851,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         save_chrome_trace(tracer.router if deep else tracer, args.trace)
         outputs.append(args.trace)
     if args.deep_trace is not None:
+        from repro.telemetry import save_fleet_chrome_trace
+
         save_fleet_chrome_trace(tracer, args.deep_trace)
         outputs.append(args.deep_trace)
     if args.alerts is not None:
@@ -884,7 +865,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         outputs.append(args.timeseries)
     if args.summary is not None:
         with open(args.summary, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(slo=DEFAULT_SLO), fh, indent=2)
+            json.dump(summary, fh, indent=2)
             fh.write("\n")
         outputs.append(args.summary)
     if args.verify_out is not None:
@@ -899,37 +880,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         outputs.append(args.verify_out)
     if outputs:
         print("wrote " + ", ".join(outputs))
-    return 0 if not violations else 1
-
-
-def _cmd_explain_request(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.telemetry import explain_request, format_explanation
-    from repro.telemetry.power import fleet_energy
-
-    tracer = _deep_fleet_tracer()
-    result = _run_fleet_scenario(args, tracer)
-    explanation = explain_request(
-        tracer, result, args.request_id, energy=fleet_energy(result, tracer)
-    )
-    if not explanation["timeline"]:
-        print(
-            f"error: request {args.request_id} not found in this scenario "
-            f"(ids run 0..{args.requests - 1})",
-            file=sys.stderr,
-        )
-        return 1
-    if args.format == "json":
-        print(json.dumps(explanation, indent=2))
-    else:
-        print(format_explanation(explanation))
-    if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(explanation, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json_out}")
-    return 0
+    return 0 if explained and not violations else 1
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
@@ -938,8 +889,6 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     from repro.telemetry.power import (
         DEFAULT_CARBON_INTENSITY,
         PowerModel,
-        fleet_energy,
-        fleet_generated_tokens,
         request_energy,
     )
 
@@ -953,69 +902,6 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         if args.carbon_intensity is not None
         else DEFAULT_CARBON_INTENSITY
     )
-
-    if args.fleet_mode:
-        from repro.check.schedule import validate_fleet_energy
-
-        tracer = _deep_fleet_tracer()
-        result = _run_fleet_scenario(args, tracer)
-        fenergy = fleet_energy(result, tracer, model=model)
-        violations = validate_fleet_energy(fenergy)
-        parts = list(fenergy.replicas)
-        if fenergy.interconnect is not None:
-            parts.append(fenergy.interconnect)
-        rows = [
-            {
-                "part": part.label,
-                "dynamic_j": round(part.dynamic_joules, 1),
-                "static_j": round(part.static_joules, 1),
-                "total_j": round(part.total_joules, 1),
-                "avg_w": round(part.avg_watts, 1),
-                "gco2": round(part.grams_co2(), 3),
-            }
-            for part in parts
-        ]
-        print(
-            format_table(
-                rows,
-                f"fleet energy [{args.policy}] — {args.requests} requests, "
-                f"{'chaos' if not args.no_chaos else 'no faults'}, "
-                f"carbon intensity {intensity:.0f} gCO2/kWh",
-            )
-        )
-        tokens = fleet_generated_tokens(result)
-        drift = abs(
-            fenergy.metered_joules - (fenergy.dynamic_joules + fenergy.static_joules)
-        )
-        print(
-            f"fleet total: {fenergy.total_joules:.0f} J over "
-            f"{fenergy.horizon:.1f} s ({fenergy.avg_watts:.0f} W avg), "
-            f"{fenergy.j_per_token(tokens):.2f} J/token "
-            f"({tokens} tokens), {fenergy.grams_co2():.2f} gCO2"
-        )
-        verdict = "OK" if not violations else f"{len(violations)} violation(s)"
-        print(
-            f"ledger vs meter: drift {drift:.2e} J — reconciliation {verdict}"
-        )
-        for v in violations:
-            print(f"  - {v.check}: {v.message}")
-        outputs = []
-        if args.timeseries is not None:
-            tracer.timeseries.save_jsonl(args.timeseries)
-            outputs.append(args.timeseries)
-        if args.json_out is not None:
-            document = fenergy.to_dict()
-            document["j_per_token"] = fenergy.j_per_token(tokens)
-            document["generated_tokens"] = tokens
-            document["reconciliation_ok"] = not violations
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(document, fh, indent=2)
-                fh.write("\n")
-            outputs.append(args.json_out)
-        if outputs:
-            print("wrote " + ", ".join(outputs))
-        return 0 if not violations else 1
-
     rows = []
     reports: dict[str, dict] = {}
     for name in ENGINE_CLASSES:
@@ -1208,8 +1094,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_serve(args)
         if args.command == "fleet":
             return _cmd_fleet(args)
-        if args.command == "explain-request":
-            return _cmd_explain_request(args)
         if args.command == "energy":
             return _cmd_energy(args)
         if args.command == "bounds":

@@ -9,7 +9,7 @@ turns these numbers into operator latencies.
 
 All bandwidths are bytes/second, capacities bytes, times seconds, compute
 throughput FLOP/s — declared with the :mod:`repro.units` dimension
-aliases so ``repro check --only flow`` can verify the arithmetic end to end.
+aliases so ``repro check --only lint`` can verify the arithmetic end to end.
 Presets use the figures published in the paper (Section 8.1)
 supplemented with public datasheet numbers where the paper is silent
 (e.g. GPU FLOP rates).

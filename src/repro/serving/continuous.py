@@ -250,42 +250,28 @@ class ServerSession:
 
     A session owns all loop state of one run — queues, running batch, KV
     pool, retry heap, report, simulated clock — and advances it one loop
-    pass at a time via :meth:`step`.  :meth:`ContinuousServer.run` is just
-    "construct a session, step until done, finish"; a fleet driver holds
-    one session per replica and always steps the session whose
+    pass at a time via :meth:`step`.  Requests arrive through
+    :meth:`submit` (possibly mid-run, possibly with prior progress from
+    another replica), lifecycle events are mirrored into :attr:`outbox`
+    for the driver, and an admission deadlock parks the session
+    (:attr:`blocked`) — only a :meth:`submit` or :meth:`cancel` can
+    unblock it.  :meth:`ContinuousServer.run` submits a whole stream at
+    its arrival times and steps until done; a fleet driver holds one
+    session per replica and always steps the session whose
     :meth:`next_action_time` is earliest, which is what keeps N replicas
     consistent on one global clock.
 
-    Two modes:
-
-    * **batch mode** (``external=False``): the request stream is fixed up
-      front and the session is driven to completion.  Behaviour is
-      bit-identical to the historical monolithic loop.
-    * **external mode** (``external=True``): requests arrive through
-      :meth:`submit` (possibly mid-run, possibly with prior progress from
-      another replica), lifecycle events are mirrored into
-      :attr:`outbox` for the driver, and an admission deadlock parks the
-      session (:attr:`blocked`) instead of raising — only an external
-      event can unblock it.
-
-    Outbox entries (external mode only) are tuples whose first element is
-    the kind: ``("admit", rid, t)``, ``("token", rid, t)``,
-    ``("complete", rid, metrics)``, ``("failed", request, t)``,
-    ``("timeout", request, t)``, ``("shed", request, t)``.
+    Outbox entries are tuples whose first element is the kind:
+    ``("admit", rid, t)``, ``("token", rid, t)``, ``("complete", rid,
+    metrics)``, ``("failed", request, t)``, ``("timeout", request, t)``,
+    ``("shed", request, t)``.
     """
 
     def __init__(
-        self,
-        server: "ContinuousServer",
-        requests: list[Request] | tuple[Request, ...] = (),
-        external: bool = False,
-        record_ledger: bool | None = None,
+        self, server: "ContinuousServer", record_ledger: bool | None = None
     ) -> None:
         self.server = server
-        self.external = external
         self.record_ledger = server.validate if record_ledger is None else record_ledger
-        self.pending = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-        self.next_arrival = 0
         self.waiting: deque[Request] = deque()
         self.running: list[RequestState] = []
         self.pool = MemoryPool(name="kv-cache", capacity=server.kv_budget_bytes)
@@ -295,8 +281,8 @@ class ServerSession:
         self.attempts: dict[int, int] = {}
         self.now = 0.0
         self.blocked = False
-        # External submissions: (dispatch time, insertion seq, request,
-        # prefilled, emitted).  The seq keeps equal-time pops FIFO.
+        # Submissions: (dispatch time, insertion seq, request, prefilled,
+        # emitted).  The seq keeps equal-time pops FIFO.
         self.dispatch_heap: list[tuple[float, int, Request, int, int]] = []
         self._dispatch_seq = 0
         self._progress: dict[int, tuple[int, int]] = {}
@@ -326,7 +312,7 @@ class ServerSession:
 
             record_fault_schedule(tracer, server.faults)
 
-    # ---- external-driver API -------------------------------------------------
+    # ---- driver API ----------------------------------------------------------
 
     def submit(
         self,
@@ -348,8 +334,6 @@ class ServerSession:
         onto every lifecycle event the session records for the request
         (pure telemetry — it never affects scheduling).
         """
-        if not self.external:
-            raise RuntimeError("submit() requires an external-mode session")
         if prefilled < 0 or emitted < 0:
             raise ValueError("prefilled and emitted must be non-negative")
         if ctx is not None:
@@ -435,8 +419,7 @@ class ServerSession:
     def has_work(self) -> bool:
         """Whether another :meth:`step` could make progress."""
         return bool(
-            self.next_arrival < len(self.pending)
-            or self.dispatch_heap
+            self.dispatch_heap
             or self.waiting
             or self.running
             or self.retry_heap
@@ -455,18 +438,19 @@ class ServerSession:
             return None
         if self.waiting or self.running:
             return self.now
-        horizon = []
-        if self.next_arrival < len(self.pending):
-            horizon.append(self.pending[self.next_arrival].arrival_time)
-        if self.dispatch_heap:
-            horizon.append(self.dispatch_heap[0][0])
-        if self.retry_heap:
-            horizon.append(self.retry_heap[0][0])
-        if not horizon:
-            return None
-        return max(self.now, min(horizon))
+        horizon = self._horizon()
+        return None if horizon is None else max(self.now, horizon)
 
     # ---- bookkeeping helpers -------------------------------------------------
+
+    def _horizon(self) -> Seconds | None:
+        """The earliest queued submission or retry instant, or None."""
+        times = []
+        if self.dispatch_heap:
+            times.append(self.dispatch_heap[0][0])
+        if self.retry_heap:
+            times.append(self.retry_heap[0][0])
+        return min(times) if times else None
 
     def _hop_of(self, rid: int) -> int | None:
         """The fleet dispatch-attempt counter of ``rid`` (None standalone)."""
@@ -507,8 +491,7 @@ class ServerSession:
             and len(self.waiting) >= self.server.max_queue
         ):
             self.report.shed.append(request)
-            if self.external:
-                self.outbox.append(("shed", request, self.now))
+            self.outbox.append(("shed", request, self.now))
             if self.tracing:
                 self.tracer.add_request_event(
                     request.request_id,
@@ -558,8 +541,7 @@ class ServerSession:
                     emitted=emitted,
                 )
             )
-            if self.external:
-                self.outbox.append(("admit", request.request_id, self.now))
+            self.outbox.append(("admit", request.request_id, self.now))
             if self.tracing:
                 rid = request.request_id
                 queued_from = self.enqueued_at.get(rid, request.arrival_time)
@@ -597,8 +579,7 @@ class ServerSession:
                 self.tracer.metrics.counter("aborts").inc()
             if attempt > server.max_retries:
                 self.report.failed.append(state.request)
-                if self.external:
-                    self.outbox.append(("failed", state.request, abort_time))
+                self.outbox.append(("failed", state.request, abort_time))
                 if self.tracing:
                     self.tracer.add_request_event(
                         rid, "fail", abort_time, hop=self._hop_of(rid)
@@ -628,8 +609,7 @@ class ServerSession:
             if d is not None and now >= request.arrival_time + d:
                 self.report.timed_out.append(request)
                 self._progress.pop(request.request_id, None)
-                if self.external:
-                    self.outbox.append(("timeout", request, now))
+                self.outbox.append(("timeout", request, now))
                 if self.tracing:
                     rid = request.request_id
                     queued_from = self.enqueued_at.get(rid, request.arrival_time)
@@ -651,8 +631,7 @@ class ServerSession:
                     now, "free", f"req-{state.request.request_id}", state.kv_bytes
                 )
                 self.report.timed_out.append(state.request)
-                if self.external:
-                    self.outbox.append(("timeout", state.request, now))
+                self.outbox.append(("timeout", state.request, now))
                 if self.tracing:
                     self._trace_batch_phases(state, now)
                     self.tracer.add_request_event(
@@ -671,35 +650,19 @@ class ServerSession:
     def step(self) -> bool:
         """Execute one pass of the serving loop; returns whether it ran.
 
-        One pass pumps due arrivals/submissions/retries, then either
-        advances the clock to the next event, handles a stall, or books
-        one iteration.  ``False`` means the session is done (or blocked,
-        in external mode) — stepping again without new input is a no-op.
+        One pass pumps due submissions/retries, then either advances the
+        clock to the next event, handles a stall, or books one iteration.
+        ``False`` means the session is done or blocked — stepping again
+        without new input is a no-op.
         """
         if self.blocked or not self.has_work():
             return False
         server = self.server
         tracer = self.tracer
         tracing = self.tracing
-        pending = self.pending
         report = self.report
         pool = self.pool
 
-        while (
-            self.next_arrival < len(pending)
-            and pending[self.next_arrival].arrival_time <= self.now
-        ):
-            request = pending[self.next_arrival]
-            if tracing:
-                tracer.add_request_event(
-                    request.request_id,
-                    "arrive",
-                    request.arrival_time,
-                    hop=self._hop_of(request.request_id),
-                )
-                self.enqueued_at[request.request_id] = request.arrival_time
-            self._enqueue(request)
-            self.next_arrival += 1
         while self.dispatch_heap and self.dispatch_heap[0][0] <= self.now:
             at, _, request, prefilled, emitted = heapq.heappop(self.dispatch_heap)
             if prefilled or emitted:
@@ -726,16 +689,10 @@ class ServerSession:
             self._enqueue(request)
 
         if not self.running and not self.waiting:
-            horizon = []
-            if self.next_arrival < len(pending):
-                horizon.append(pending[self.next_arrival].arrival_time)
-            if self.dispatch_heap:
-                horizon.append(self.dispatch_heap[0][0])
-            if self.retry_heap:
-                horizon.append(self.retry_heap[0][0])
-            if not horizon:
+            horizon = self._horizon()
+            if horizon is None:
                 return False  # everything remaining was shed or failed
-            target = max(self.now, min(horizon))
+            target = max(self.now, horizon)
             if self.time_cap is not None and self.time_cap < target:
                 if self.time_cap <= self.now:
                     return False  # parked: the driver must act first
@@ -786,28 +743,15 @@ class ServerSession:
         if not self.running:
             # Admission blocked (shrunken budget or stalled retries):
             # advance to whatever happens next.
-            horizon = []
-            if self.next_arrival < len(pending):
-                horizon.append(pending[self.next_arrival].arrival_time)
-            if self.dispatch_heap:
-                horizon.append(self.dispatch_heap[0][0])
-            if self.retry_heap:
-                horizon.append(self.retry_heap[0][0])
+            horizon = [self._horizon()]
             if server.faults is not None:
-                boundary = server.faults.next_boundary_after(self.now)
-                if boundary is not None:
-                    horizon.append(boundary)
-            future = [t for t in horizon if t > self.now]
+                horizon.append(server.faults.next_boundary_after(self.now))
+            future = [t for t in horizon if t is not None and t > self.now]
             if not future:
-                if self.external:
-                    # Only an external submit/cancel can change anything;
-                    # park instead of raising so the driver decides.
-                    self.blocked = True
-                    return False
-                raise OutOfMemoryError(
-                    "admission deadlocked: waiting requests can never "
-                    "fit the remaining KV budget"
-                )
+                # Only a submit/cancel can change anything; park so the
+                # driver decides.
+                self.blocked = True
+                return False
             target = min(future)
             if self.time_cap is not None and self.time_cap < target:
                 if self.time_cap <= self.now:
@@ -923,8 +867,7 @@ class ServerSession:
                 # Prompt done: the prefill step yields the first token.
                 state.emitted += 1
                 state.token_times.append(end)
-                if self.external:
-                    self.outbox.append(("token", state.request.request_id, end))
+                self.outbox.append(("token", state.request.request_id, end))
                 if tracing:
                     tracer.add_request_event(
                         state.request.request_id,
@@ -935,8 +878,7 @@ class ServerSession:
         for state in plan.decode:
             state.emitted += 1
             state.token_times.append(end)
-            if self.external:
-                self.outbox.append(("token", state.request.request_id, end))
+            self.outbox.append(("token", state.request.request_id, end))
 
         still_running: list[RequestState] = []
         for state in self.running:
@@ -954,10 +896,7 @@ class ServerSession:
                     token_times=tuple(state.token_times),
                 )
                 report.completed.append(metrics)
-                if self.external:
-                    self.outbox.append(
-                        ("complete", state.request.request_id, metrics)
-                    )
+                self.outbox.append(("complete", state.request.request_id, metrics))
                 if tracing:
                     self._trace_batch_phases(state, state.token_times[-1])
                     tracer.add_request_event(
@@ -1162,22 +1101,30 @@ class ContinuousServer:
 
     # ---- main loop -----------------------------------------------------------
 
-    def session(
-        self,
-        requests: list[Request] | tuple[Request, ...] = (),
-        external: bool = False,
-        record_ledger: bool | None = None,
-    ) -> ServerSession:
+    def session(self, record_ledger: bool | None = None) -> ServerSession:
         """A fresh :class:`ServerSession` over this server's configuration."""
-        return ServerSession(
-            self, requests, external=external, record_ledger=record_ledger
-        )
+        return ServerSession(self, record_ledger=record_ledger)
 
     def run(self, requests: list[Request]) -> ContinuousReport:
-        """Serve ``requests``; returns token-level metrics."""
-        session = self.session(requests)
+        """Serve ``requests``; returns token-level metrics.
+
+        Each request is submitted at its arrival time, in
+        ``(arrival_time, request_id)`` order.
+
+        Raises:
+            OutOfMemoryError: If admission deadlocks — waiting requests can
+                never fit the remaining KV budget.
+        """
+        session = self.session()
+        for request in sorted(requests, key=lambda r: (r.arrival_time, r.request_id)):
+            session.submit(request, at=request.arrival_time)
         while session.step():
-            pass
+            session.outbox.clear()
+        if session.blocked:
+            raise OutOfMemoryError(
+                "admission deadlocked: waiting requests can never "
+                "fit the remaining KV budget"
+            )
         return session.finish()
 
 

@@ -3,8 +3,8 @@
 A replica wraps an independent :class:`~repro.serving.continuous
 .ContinuousServer` (its own engine over its own
 :class:`~repro.hardware.spec.MachineSpec`, its own KV pool and queues)
-driven through an external-mode :class:`~repro.serving.continuous
-.ServerSession` so the fleet router can interleave N replicas on one
+driven through a :class:`~repro.serving.continuous.ServerSession` the
+router submits to, so the fleet router can interleave N replicas on one
 simulated clock.
 
 The replica keeps *two* views of its fault schedule:
@@ -87,7 +87,7 @@ class Replica:
         self.role = role
         self.machine_faults = faults.machine_view() if faults is not None else None
         self.server = ContinuousServer(engine, faults=self.machine_faults, **server_kwargs)
-        self.session: ServerSession = self.server.session(external=True, record_ledger=True)
+        self.session: ServerSession = self.server.session(record_ledger=True)
         self.detected_down = False
 
     def attach_tracer(self, tracer: "Tracer") -> None:  # repro-lint: disable=tracer-default -- attaching is itself the opt-in; a None tracer is meaningless here
@@ -111,7 +111,7 @@ class Replica:
                 "session that already ran"
             )
         self.server.tracer = tracer
-        self.session = self.server.session(external=True, record_ledger=True)
+        self.session = self.server.session(record_ledger=True)
 
     @property
     def kv_budget_bytes(self) -> Bytes:

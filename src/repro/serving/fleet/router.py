@@ -1,8 +1,9 @@
 """The fleet router: health checks, failover, hedging, brownout, disagg.
 
 :class:`FleetRouter` fronts N :class:`~repro.serving.fleet.replica
-.Replica` instances and drives their external-mode sessions on one
-simulated clock with a conservative discrete-event loop:
+.Replica` instances and drives their sessions (requests handed in with
+``ServerSession.submit``) on one simulated clock with a conservative
+discrete-event loop:
 
 * a global event heap holds request arrivals, heartbeat health
   transitions, scheduled re-dispatches, and every lifecycle event the

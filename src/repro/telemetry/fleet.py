@@ -23,7 +23,7 @@ the two missing pieces:
 request's events from every lane — dispatches, queueing, retries, KV
 migration, per-token progress, burn-rate alerts — into a single causal
 timeline with a disposition summary (rendered by
-:func:`format_explanation`, served by ``repro explain-request``).
+:func:`format_explanation`, served by ``repro fleet --explain``).
 
 Everything is opt-in: a fleet run with ``tracer=None`` records nothing
 and stays bit-identical to the untraced schedule.

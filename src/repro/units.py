@@ -11,7 +11,7 @@ that both humans and the static analyzer can read.
 The aliases are ``typing.NewType`` wrappers: at runtime they are identity
 functions (annotations cost nothing, and every annotated module uses
 ``from __future__ import annotations`` so nothing is even evaluated), but
-they let ``repro check --only flow`` run dimensional analysis over the project
+they let ``repro check --only lint`` run dimensional analysis over the project
 call graph — adding ``Seconds`` to ``Bytes``, multiplying ``Watts`` by
 ``Watts``, or returning a ``Bytes`` expression from a function declared
 ``-> Seconds`` all become static diagnostics.  See

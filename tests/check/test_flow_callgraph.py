@@ -1,18 +1,19 @@
-"""Call-graph construction, project stats, and the clean-tree guarantee.
+"""Call-graph construction and the project stats of the static pass.
 
 The interprocedural passes are only as good as the graph under them;
 these tests pin the indexing contract (qualified names, method edges,
-cross-module resolution) and the headline acceptance property: the real
-``src/repro`` tree analyzes clean.
+cross-module resolution), the report the stats surface in, and the
+headline property: the real ``src/repro`` tree analyzes clean.
 """
 
+import json
 from pathlib import Path
 
 from repro.check.callgraph import CallGraph, ProjectIndex
-from repro.check.flow import flow_report_as_dict, run_flow
+from repro.check.lint import lint_paths
+from repro.check.report import check_to_json, run_check
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-SRC_REPRO = REPO_ROOT / "src" / "repro"
+SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 FIXTURE = (
@@ -59,7 +60,7 @@ class TestProjectIndex:
 
     def test_parse_error_surfaces_in_flow_report(self, tmp_path):
         (tmp_path / "broken.py").write_text("def oops(:\n")
-        report = run_flow([tmp_path])
+        report = lint_paths([tmp_path])
         assert [v.rule for v in report.violations] == ["parse-error"]
         assert not report.ok
 
@@ -95,27 +96,27 @@ class TestCallGraph:
 
 class TestCleanTree:
     def test_src_repro_is_flow_clean(self):
-        report = run_flow([SRC_REPRO])
+        report = lint_paths([SRC_REPRO])
         assert report.violations == []
         assert report.ok
         # The stats prove the passes actually covered the project — a
         # path bug that analyzed nothing would also report 0 violations.
-        assert report.n_files > 100
-        assert report.n_functions > 800
-        assert report.n_call_edges > 1000
-        assert report.n_task_sites > 20
+        assert report.stats["n_files"] > 100
+        assert report.stats["n_functions"] > 800
+        assert report.stats["n_call_edges"] > 1000
+        assert report.stats["n_task_sites"] > 20
 
     def test_report_dict_shape(self, tmp_path):
         (tmp_path / "ok.py").write_text("def f():\n    return 1\n")
-        d = flow_report_as_dict(run_flow([tmp_path]))
+        d = json.loads(check_to_json(run_check([tmp_path], only=("lint",))))
         assert d["ok"] is True
-        assert d["n_files"] == 1
         assert d["violations"] == []
-        assert set(d) >= {
+        stats = d["tools"]["lint"]
+        assert stats["n_files"] == 1
+        assert set(stats) >= {
             "ok",
             "n_files",
             "n_functions",
             "n_call_edges",
             "n_task_sites",
-            "violations",
         }

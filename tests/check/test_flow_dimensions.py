@@ -1,7 +1,7 @@
 """Doctored-fixture tests: each dimension rule fires at its exact site.
 
 Every test plants a minimal fixture module in a temp directory, runs the
-interprocedural flow analysis over it, and asserts the *precise* rule
+static pass over it, and asserts the *precise* rule
 name and line — plus a near-identical clean twin that must stay silent,
 pinning the rule's edges (literal wildcards, Ratio transparency,
 interprocedural argument checking).
@@ -11,14 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.flow import run_flow
+from repro.check.lint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def flow(tmp_path: Path, source: str, name: str = "fixture.py", rules=None):
     (tmp_path / name).write_text(source)
-    report = run_flow([tmp_path], rules=rules)
+    report = lint_paths([tmp_path], rules=rules)
     return [(v.rule, v.line) for v in report.violations]
 
 
@@ -189,7 +189,7 @@ class TestRuleSelection:
         assert got == [("dim-add-mix", 5)]
 
     def test_unknown_rule_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown flow rules"):
+        with pytest.raises(ValueError, match="unknown lint rules"):
             flow(tmp_path, self.MIXED, rules=["dim-nonsense"])
 
 

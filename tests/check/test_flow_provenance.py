@@ -10,12 +10,12 @@ deterministic helper, deterministic call-site arguments).
 
 from pathlib import Path
 
-from repro.check.flow import run_flow
+from repro.check.lint import lint_paths
 
 
 def flow(tmp_path: Path, source: str):
     (tmp_path / "fixture.py").write_text(source)
-    report = run_flow([tmp_path])
+    report = lint_paths([tmp_path])
     return [(v.rule, v.line) for v in report.violations]
 
 
@@ -90,7 +90,7 @@ class TestUntrackedSeed:
             "    return np.random.default_rng(launder())\n"
         )
         (tmp_path / "fixture.py").write_text(src)
-        report = run_flow([tmp_path])
+        report = lint_paths([tmp_path])
         assert [(v.rule, v.line) for v in report.violations] == [
             ("rng-untracked-seed", 11)
         ]

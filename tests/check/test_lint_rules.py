@@ -3,16 +3,20 @@
 Each rule gets (at least) one snippet that fires it and one near-identical
 clean snippet that must not — the clean side pins down the rule's edges
 (literal-zero comparisons, seeded RNG calls, sorted() wrappers, ...).
+A snippet is analyzed as a one-file project, so every rule — per-file,
+dimension and provenance — sees it.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.check.lint import RULES, lint_paths, lint_source, report_as_dict
-from repro.check.report import run_check
+from repro.check.lint import RULES, lint_paths, lint_source
+from repro.check.report import CHECK_TOOLS, run_check
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+# Every static tool ``repro check`` runs: the whole static analysis.
+STATIC_TOOLS = tuple(tool for tool in CHECK_TOOLS if tool != "schedule")
 
 
 def rules_fired(source: str) -> list[str]:
@@ -50,7 +54,25 @@ class TestStdlibRandom:
         assert rules_fired(src).count("stdlib-random") == 2  # import + call
 
     def test_numpy_generator_clean(self):
-        src = "import numpy as np\nrng = np.random.default_rng(7)\nx = rng.random()\n"
+        src = (
+            "import numpy as np\n"
+            "\n"
+            "\n"
+            "def draw():\n"
+            "    rng = np.random.default_rng(7)\n"
+            "    return rng.random()\n"
+        )
+        assert rules_fired(src) == []
+
+    def test_numpy_random_module_is_not_stdlib(self):
+        # `random` here is numpy.random, resolved through the import table.
+        src = (
+            "from numpy import random\n"
+            "\n"
+            "\n"
+            "def draw(seed):\n"
+            "    return random.default_rng(seed)\n"
+        )
         assert rules_fired(src) == []
 
 
@@ -63,32 +85,47 @@ class TestNpLegacyRandom:
         src = "import numpy as np\nnp.random.seed(0)\n"
         assert "np-legacy-random" in rules_fired(src)
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import numpy.random as nr\nnr.seed(1)\n",
+            "from numpy import random as npr\nx = npr.rand(3)\n",
+            "import numpy.random\nnumpy.random.seed(1)\n",
+        ],
+    )
+    def test_aliased_module_call_fires(self, src):
+        assert rules_fired(src) == ["np-legacy-random"]
+
     def test_generator_api_clean(self):
         src = (
             "import numpy as np\n"
-            "rng = np.random.Generator(np.random.PCG64(1))\n"
-            "ss = np.random.SeedSequence(2)\n"
+            "\n"
+            "\n"
+            "def make():\n"
+            "    rng = np.random.Generator(np.random.PCG64(1))\n"
+            "    ss = np.random.SeedSequence(2)\n"
+            "    return rng, ss\n"
         )
         assert rules_fired(src) == []
 
 
 class TestUnseededRng:
-    """A bare ``default_rng()`` is the flow pass's ``rng-unseeded`` finding.
+    """A bare ``default_rng()`` is the provenance pass's ``rng-unseeded``.
 
-    Lint has no rule of its own for it, so ``repro check`` reports the call
-    once, not once per pass.
+    It is the only unseeded-RNG rule, so ``repro check`` reports the call
+    once.
     """
 
     @staticmethod
     def checked(tmp_path: Path, source: str) -> list[tuple[str, str, int]]:
         (tmp_path / "fixture.py").write_text(source)
-        report = run_check([tmp_path], only=("lint", "flow"))
+        report = run_check([tmp_path], only=STATIC_TOOLS)
         return [(v.tool, v.rule, v.line) for v in report.violations]
 
     def test_argless_default_rng_fires(self, tmp_path):
         src = "import numpy as np\n\n\ndef draw():\n    return np.random.default_rng()\n"
-        assert rules_fired(src) == []
-        assert self.checked(tmp_path, src) == [("flow", "rng-unseeded", 5)]
+        assert rules_fired(src) == ["rng-unseeded"]
+        assert self.checked(tmp_path, src) == [("lint", "rng-unseeded", 5)]
 
     def test_seeded_default_rng_clean(self, tmp_path):
         src = "import numpy as np\n\n\ndef draw():\n    return np.random.default_rng(1234)\n"
@@ -191,6 +228,23 @@ class TestParseError:
         assert [v.rule for v in violations] == ["parse-error"]
         assert violations[0].line == 1
 
+    def test_broken_file_reported_once(self, tmp_path):
+        (tmp_path / "broken.py").write_text("def (:\n")
+        report = run_check([tmp_path], only=STATIC_TOOLS)
+        assert [v.rule for v in report.violations] == ["parse-error"]
+
+
+class TestFileSet:
+    def test_same_named_files_are_each_checked(self, tmp_path):
+        # Both files map to module `fixture`; the project index keeps one
+        # per name, and the per-file rules must still see both.
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "fixture.py").write_text("import time\nt = time.time()\n")
+        report = run_check([tmp_path], only=STATIC_TOOLS)
+        fired = [(Path(v.path).parent.name, v.rule) for v in report.violations]
+        assert fired == [("a", "wall-clock"), ("b", "wall-clock")]
+
 
 class TestRuleSelection:
     def test_subset_runs_only_selected(self):
@@ -214,6 +268,7 @@ class TestViolationMetadata:
         (v,) = violations
         assert (v.path, v.rule, v.line) == ("mod.py", "wall-clock", 2)
         assert v.to_dict() == {
+            "tool": "lint",
             "rule": "wall-clock",
             "path": "mod.py",
             "line": 2,
@@ -222,20 +277,23 @@ class TestViolationMetadata:
         }
         assert "mod.py:2:" in v.format()
 
-    def test_report_dict_counts(self):
-        violations = lint_source("import random\nimport time\nt = time.time()\n")
-        doc = report_as_dict(violations, n_files=1)
+    def test_report_dict_counts(self, tmp_path):
+        (tmp_path / "mod.py").write_text("import random\nimport time\nt = time.time()\n")
+        report = run_check([tmp_path], only=("lint",))
+        doc = report.to_dict()
         assert doc["ok"] is False
-        assert doc["n_violations"] == len(violations)
+        assert doc["n_violations"] == len(report.violations)
         assert doc["by_rule"]["wall-clock"] == 1
 
 
 class TestRepoIsClean:
     def test_src_repro_lints_clean(self):
         """`repro check src/repro --only lint` exits 0 on this tree."""
-        violations, n_files = lint_paths([REPO_ROOT / "src" / "repro"])
-        assert n_files > 50
-        assert violations == [], "\n".join(v.format() for v in violations)
+        report = lint_paths([REPO_ROOT / "src" / "repro"])
+        assert report.stats["n_files"] > 50
+        assert report.violations == [], "\n".join(
+            v.format() for v in report.violations
+        )
 
     def test_missing_path_rejected(self):
         with pytest.raises(FileNotFoundError):

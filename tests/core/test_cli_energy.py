@@ -1,8 +1,28 @@
-"""CLI coverage for the energy subcommand and explain-request energy output."""
+"""CLI coverage for the energy subcommand and the fleet's energy output."""
 
+import contextlib
+import io
 import json
 
+import pytest
+
 from repro.cli import main
+
+
+@pytest.fixture(scope="module")
+def deep_fleet(tmp_path_factory):
+    """One deep `repro fleet --explain` run: (exit code, stdout, dir)."""
+    out_dir = tmp_path_factory.mktemp("deep-fleet")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(
+            [
+                "fleet", "--requests", "8", "--explain", "1",
+                "--summary", str(out_dir / "summary.json"),
+                "--timeseries", str(out_dir / "watts.jsonl"),
+            ]
+        )
+    return code, stdout.getvalue(), out_dir
 
 
 class TestEnergyCommand:
@@ -31,20 +51,21 @@ class TestEnergyCommand:
         assert main(["energy", "--whatif"]) == 0
         assert "perf_per_watt_gain" in capsys.readouterr().out
 
-    def test_fleet_mode_reconciles_and_writes_artifacts(self, capsys, tmp_path):
-        out = tmp_path / "fleet_energy.json"
-        ts = tmp_path / "watts.jsonl"
-        code = main(
-            [
-                "energy", "--fleet", "--requests", "8",
-                "--json", str(out), "--timeseries", str(ts),
-            ]
-        )
+    def test_fleet_mode_moved_to_fleet_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["energy", "--fleet"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_fleet_mode_reconciles_and_writes_artifacts(self, deep_fleet):
+        code, text, out_dir = deep_fleet
+        out = out_dir / "summary.json"
+        ts = out_dir / "watts.jsonl"
         assert code == 0
-        text = capsys.readouterr().out
-        assert "reconciliation OK" in text
+        assert "fleet validation: OK" in text
+        assert "ledger vs meter drift" in text
         assert "J/token" in text
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text())["energy"]
         assert doc["reconciliation_ok"] is True
         assert doc["j_per_token"] > 0.0
         assert len(doc["replicas"]) == 3
@@ -54,15 +75,16 @@ class TestEnergyCommand:
 
 
 class TestExplainRequestEnergy:
-    def test_text_timeline_carries_joules_column(self, capsys):
-        assert main(["explain-request", "1", "--requests", "8"]) == 0
-        text = capsys.readouterr().out
+    def test_text_timeline_carries_joules_column(self, deep_fleet):
+        code, text, _ = deep_fleet
+        assert code == 0
         assert "fleet energy in flight" in text
         assert " J]" in text
 
-    def test_format_json_document(self, capsys):
-        assert main(["explain-request", "1", "--requests", "8", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+    def test_format_json_document(self, deep_fleet):
+        code, _, out_dir = deep_fleet
+        assert code == 0
+        doc = json.loads((out_dir / "summary.json").read_text())["explanation"]
         assert doc["summary"]["energy"]["fleet_total_joules"] > 0.0
         assert all("fleet_joules" in entry for entry in doc["timeline"])
         joules = [entry["fleet_joules"] for entry in doc["timeline"]]

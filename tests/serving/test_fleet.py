@@ -444,7 +444,7 @@ class TestServerSessionExternalMode:
         server = ContinuousServer(
             _engine(), policy="fcfs", **SERVER_KW
         )
-        return server.session(external=True, record_ledger=True)
+        return server.session(record_ledger=True)
 
     def _req(self, rid, at=0.0):
         return Request(request_id=rid, arrival_time=at, input_len=16, output_len=4)

@@ -8,8 +8,8 @@ over mid-decode):
   1e-6 (busy union, per-token times, disposition counts);
 * attaching the :class:`FleetTracer` changes *nothing* about the run —
   bit-identical to ``tracer=None``;
-* ``explain-request`` reproduces the failover request's replay path
-  exactly (golden transcript);
+* ``explain_request`` (served by ``repro fleet --explain``) reproduces
+  the failover request's replay path exactly (golden transcript);
 * burn-rate alerts land inside the crash window, annotated with it;
 * the replica fault schedule and Chrome export carry the fleet lanes.
 """
