@@ -1,8 +1,10 @@
 """Shared experiment plumbing: cached plans and engine construction.
 
-Offline plan building (profile synthesis + ILP) costs seconds per
-(model, machine, dtype, policy) tuple; experiment drivers share one
-process-wide cache so figure benches that reuse a deployment pay once.
+Offline plan building (profile synthesis + ILP) costs from about 0.3 s
+(opt-6.7b, where every neuron fits the GPU and HiGHS is skipped) to several
+seconds (plans HiGHS has to solve) per (model, machine, dtype, policy)
+tuple; experiments share one process-wide cache so figure benches that
+reuse a deployment pay once.
 """
 
 from __future__ import annotations

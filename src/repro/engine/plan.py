@@ -177,19 +177,16 @@ class DeploymentPlan:
         if nbytes <= 0:
             return self
         neuron_bytes = self.model.mlp_neuron_bytes(self.dtype)
-        candidates: list[tuple[float, int, int]] = []  # (prob, layer, neuron)
-        for li in range(self.model.n_layers):
-            mask = self.mlp_gpu_masks[li]
-            probs = self.mlp_probs[li]
-            for ni in np.flatnonzero(mask):
-                candidates.append((float(probs[ni]), li, int(ni)))
-        candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+        flat_mask = np.concatenate(self.mlp_gpu_masks)
+        resident = np.flatnonzero(flat_mask)
+        # Flat indices ascend in (layer, neuron) order, so a stable sort on
+        # probability orders the candidates by (prob, layer, neuron).
+        order = np.argsort(np.concatenate(self.mlp_probs)[resident], kind="stable")
         n_demote = min(
-            len(candidates), int(np.ceil(nbytes / neuron_bytes)) if neuron_bytes else 0
+            resident.size, int(np.ceil(nbytes / neuron_bytes)) if neuron_bytes else 0
         )
-        new_masks = [mask.copy() for mask in self.mlp_gpu_masks]
-        for _, li, ni in candidates[:n_demote]:
-            new_masks[li][ni] = False
+        flat_mask[resident[order[:n_demote]]] = False
+        new_masks = np.split(flat_mask, np.cumsum([m.size for m in self.mlp_gpu_masks])[:-1])
         return DeploymentPlan(
             model=self.model,
             machine=self.machine,

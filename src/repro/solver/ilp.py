@@ -13,8 +13,11 @@ Maximizes the total impact of GPU-resident neurons (Equation 2) subject to:
   big-K (Inequalities 7-8).
 
 Neurons are pre-grouped into similar-impact batches of 64 (Section 6.3.3),
-so the MILP has one binary per batch plus one ``y`` per group and solves in
-seconds with HiGHS (via ``scipy.optimize.milp``).
+so the MILP has one binary per batch plus one ``y`` per group and HiGHS
+(via ``scipy.optimize.milp``) solves it in one to several seconds.  When
+every neuron fits the GPU budget the answer is forced: the all-GPU point is
+feasible and no objective coefficient is positive, so it is returned
+without calling HiGHS.
 """
 
 from __future__ import annotations
@@ -210,19 +213,28 @@ def solve_ilp(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(row_id, n_vars),
     )
-    constraints = LinearConstraint(a_matrix, np.array(lbs), np.array(ubs))
-    result = milp(
-        c=c,
-        constraints=constraints,
-        integrality=np.ones(n_vars),
-        bounds=Bounds(0, 1),
-        options={"time_limit": opts.time_limit, "mip_rel_gap": opts.mip_rel_gap},
-    )
-    if result.x is None:
-        raise RuntimeError(f"placement MILP failed: {result.message}")
+    lb, ub = np.array(lbs), np.array(ubs)
+    # No cost is positive, so the all-ones point (every batch on the GPU,
+    # every y_l = 1) minimizes c @ x over the whole box; when it also meets
+    # every row it is optimal and HiGHS has nothing to decide.
+    ones = np.ones(n_vars)
+    row_values = a_matrix @ ones
+    if np.all(c <= 0.0) and np.all((lb <= row_values) & (row_values <= ub)):
+        x = ones
+    else:
+        result = milp(
+            c=c,
+            constraints=LinearConstraint(a_matrix, lb, ub),
+            integrality=np.ones(n_vars),
+            bounds=Bounds(0, 1),
+            options={"time_limit": opts.time_limit, "mip_rel_gap": opts.mip_rel_gap},
+        )
+        if result.x is None:
+            raise RuntimeError(f"placement MILP failed: {result.message}")
+        x = result.x
 
-    masks = _solution_to_masks(groups, group_batches, result.x[:n_a])
-    objective = float(objective_coeffs @ np.round(result.x[:n_a]))
+    masks = _solution_to_masks(groups, group_batches, x[:n_a])
+    objective = float(objective_coeffs @ np.round(x[:n_a]))
     return PlacementPolicy(
         groups=list(groups), gpu_masks=masks, objective=objective, solver_name="ilp"
     )

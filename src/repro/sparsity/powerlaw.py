@@ -10,7 +10,10 @@ such (hot_fraction -> hot_mass) target:
    ``alpha`` so the top ``hot_fraction`` of neurons carries ``hot_mass`` of
    the total frequency (bisection on the monotone top-share function).
 2. Scale frequencies so the mean activation probability equals the target
-   per-token activation rate, clipping at 1.
+   per-token activation rate, clipping at 1.  The clipped mean is
+   piecewise linear in the scale, so one sort and one cumulative sum give
+   the root in closed form; a short search over neighbouring floats then
+   returns the smallest scale whose floating-point mean reaches the rate.
 
 The synthesized probabilities drive the activation sampler, the profiler's
 synthetic traces, and — through :func:`repro.models.weights.init_weights` —
@@ -44,12 +47,16 @@ def zipf_weights(n: int, alpha: float) -> np.ndarray:
 
 def top_share(weights: np.ndarray, fraction: float) -> float:
     """Share of total mass held by the largest ``fraction`` of entries."""
+    return _descending_top_share(np.sort(weights)[::-1], fraction)
+
+
+def _descending_top_share(ordered: np.ndarray, fraction: float) -> float:
+    """:func:`top_share` of entries already sorted in descending order."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    if weights.size == 0:
+    if ordered.size == 0:
         raise ValueError("weights must be non-empty")
-    k = max(1, int(round(fraction * weights.size)))
-    ordered = np.sort(weights)[::-1]
+    k = max(1, int(round(fraction * ordered.size)))
     total = ordered.sum()
     if total <= 0:
         raise ValueError("weights must have positive mass")
@@ -94,24 +101,64 @@ def fit_zipf_alpha(
     return 0.5 * (lo + hi)
 
 
-def _scale_to_mean(weights: np.ndarray, rate: float) -> np.ndarray:
-    """Find s so that ``mean(clip(s * weights, 0, 1)) == rate`` and apply it.
+_MAX_FINITE_BITS = int(np.array(np.finfo(np.float64).max).view(np.int64))
 
-    The clipped mean is monotone increasing in ``s`` and saturates at 1, so
-    bisection converges whenever ``rate < 1``.
+
+def _scale_for_mean(weights: np.ndarray, ascending: np.ndarray, rate: float) -> float:
+    """Smallest float ``s`` with ``mean(minimum(s * weights, 1)) >= rate``.
+
+    ``ascending`` is ``np.sort(weights)``.  With the ``k`` largest weights
+    clipped at 1, the clipped mean is ``(k + s * tail_k) / n``, where
+    ``tail_k`` sums the other ``n - k`` weights, so the cumulative sum of
+    ``ascending`` gives the root in closed form.  The floating-point mean
+    rounds differently from that formula, so the root only seeds a
+    gallop-then-bisect search over float64 bit patterns (ordered like the
+    floats they encode for non-negative values).  The predicate is monotone
+    in ``s``, so the search returns the one smallest float that reaches the
+    rate.
+
+    Raises:
+        ValueError: If no finite scale reaches ``rate``.
     """
-    lo, hi = 0.0, rate / max(float(weights.mean()), 1e-300)
-    while float(np.minimum(hi * weights, 1.0).mean()) < rate:
-        hi *= 2.0
-        if hi > 1e30:
-            raise ValueError("cannot reach the requested activation rate")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(np.minimum(mid * weights, 1.0).mean()) < rate:
-            lo = mid
-        else:
+    n = ascending.size
+    head = np.cumsum(ascending)  # head[i]: mass of the i + 1 smallest weights
+
+    def reaches(bits: int) -> bool:
+        scale = np.array(bits, dtype=np.int64).view(np.float64)
+        return float(np.minimum(scale * weights, 1.0).mean()) >= rate
+
+    # At s = 1 / ascending[i] the entries from i up are clipped; the mean
+    # there, times n * ascending[i], is the left side below.  Entries whose
+    # breakpoint mean is still short of the rate are clipped at the root.
+    at_breaks = (n - np.arange(n)) * ascending + head - ascending
+    k = int(np.count_nonzero(at_breaks < n * rate * ascending))
+    tail = head[n - k - 1] if k < n else 0.0  # mass of the n - k unclipped weights
+    if tail <= 0.0:
+        raise ValueError("cannot reach the requested activation rate")
+    root = (n * rate - k) / tail
+    bits = int(np.clip(np.array(root).view(np.int64), 0, _MAX_FINITE_BITS))
+
+    step = 1
+    if reaches(bits):
+        hi, lo = bits, bits - 1
+        while lo >= 0 and reaches(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, -1)  # -1 stands for "below +0.0"; it is never evaluated
+    else:
+        lo, hi = bits, min(bits + 1, _MAX_FINITE_BITS)
+        while not reaches(hi):
+            if hi == _MAX_FINITE_BITS:
+                raise ValueError("cannot reach the requested activation rate")
+            lo, step = hi, 2 * step
+            hi = min(lo + step, _MAX_FINITE_BITS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
             hi = mid
-    return np.minimum(hi * weights, 1.0)
+        else:
+            lo = mid
+    return float(np.array(hi, dtype=np.int64).view(np.float64))
 
 
 def synthesize_activation_probs(
@@ -162,8 +209,12 @@ def synthesize_activation_probs(
     )
 
     def share_for_alpha(alpha: float) -> tuple[float, np.ndarray]:
-        probs = _scale_to_mean(zipf_weights(n_neurons, alpha) * noise, mean_activation_rate)
-        return top_share(probs, hot_fraction), probs
+        weights = zipf_weights(n_neurons, alpha) * noise
+        ascending = np.sort(weights)
+        scale = _scale_for_mean(weights, ascending, mean_activation_rate)
+        # Scaling and clipping keep the order, so this is np.sort(probs)[::-1].
+        ordered = np.minimum(scale * ascending, 1.0)[::-1]
+        return _descending_top_share(ordered, hot_fraction), np.minimum(scale * weights, 1.0)
 
     lo, hi = 0.0, 12.0
     probs = None

@@ -142,3 +142,47 @@ class TestGpuLoadShare:
     def test_share_bounded(self, model):
         plan = make_plan(model, gpu_frac=0.5)
         assert 0.0 < plan.gpu_neuron_load_share() < 1.0
+
+
+def reference_freed_masks(plan, nbytes):
+    """The per-neuron loop ``with_gpu_bytes_freed`` used before it was
+    vectorized: demote in (prob, layer, neuron) order."""
+    neuron_bytes = plan.model.mlp_neuron_bytes(plan.dtype)
+    candidates = []
+    for li in range(plan.model.n_layers):
+        for ni in np.flatnonzero(plan.mlp_gpu_masks[li]):
+            candidates.append((float(plan.mlp_probs[li][ni]), li, int(ni)))
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    n_demote = min(len(candidates), int(np.ceil(nbytes / neuron_bytes)))
+    masks = [mask.copy() for mask in plan.mlp_gpu_masks]
+    for _, li, ni in candidates[:n_demote]:
+        masks[li][ni] = False
+    return masks
+
+
+class TestGpuBytesFreed:
+    @pytest.fixture
+    def tied_plan(self, model):
+        # Coarse probabilities tie within and across layers, so the
+        # (layer, neuron) tie-break decides which neurons go first.
+        plan = make_plan(model, gpu_frac=0.75)
+        plan.mlp_probs = [np.round(p, 2) for p in plan.mlp_probs]
+        return plan
+
+    def test_zero_bytes_returns_self(self, tied_plan):
+        assert tied_plan.with_gpu_bytes_freed(0) is tied_plan
+
+    @pytest.mark.parametrize("neurons", [1, 1.5, 157.3, 10_000])
+    def test_masks_match_reference_loop(self, tied_plan, neurons):
+        nbytes = neurons * tied_plan.model.mlp_neuron_bytes(tied_plan.dtype)
+        freed = tied_plan.with_gpu_bytes_freed(nbytes)
+        expected = reference_freed_masks(tied_plan, nbytes)
+        assert len(freed.mlp_gpu_masks) == len(expected)
+        for got, want in zip(freed.mlp_gpu_masks, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert freed.attn_gpu_masks is tied_plan.attn_gpu_masks
+
+    def test_more_than_all_gpu_bytes_demotes_every_mlp_neuron(self, tied_plan):
+        freed = tied_plan.with_gpu_bytes_freed(2 * tied_plan.gpu_weight_bytes)
+        assert not any(mask.any() for mask in freed.mlp_gpu_masks)
+        assert all(mask.any() for mask in tied_plan.mlp_gpu_masks)

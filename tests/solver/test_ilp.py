@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.hardware.spec import PC_HIGH
+from repro.solver import ilp as ilp_module
+from repro.solver.batching import batch_neurons
 from repro.solver.greedy import greedy_placement
 from repro.solver.ilp import SolverOptions, communication_threshold, solve_ilp
 from repro.solver.placement import NeuronGroup
@@ -133,3 +135,86 @@ class TestSolveIlp:
         )
         assert weighted.mask("heavy").sum() >= raw.mask("heavy").sum()
         assert raw.mask("light").sum() == 100  # raw metric grabs cheap impact
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """Counts calls that reach HiGHS, passing each one through."""
+    calls = []
+    real_milp = ilp_module.milp
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(ilp_module, "milp", spy)
+    return calls
+
+
+def assert_feasible(policy, groups, gpu_budget, cpu_budget=None):
+    assert policy.gpu_bytes <= gpu_budget + 1e-6
+    if cpu_budget is not None:
+        total = sum(g.total_bytes for g in groups)
+        assert total - policy.gpu_bytes <= cpu_budget + 1e-6
+    for group in groups:
+        count = int(policy.mask(group.name).sum())
+        assert count == 0 or count >= communication_threshold(group, PC_HIGH)
+
+
+class TestForcedAllGpu:
+    """When everything fits, the all-GPU point is returned without HiGHS."""
+
+    def test_slack_budget_skips_highs(self, rng, milp_calls):
+        groups = make_groups(rng, n_groups=3, n_neurons=64)
+        total = sum(g.total_bytes for g in groups)
+        policy = solve_ilp(
+            groups, PC_HIGH, 2 * total, cpu_budget_bytes=total,
+            options=SolverOptions(batch_size=8),
+        )
+        assert milp_calls == []
+        assert all(mask.all() for mask in policy.gpu_masks)
+        coeffs = np.concatenate(
+            [
+                [b.impact * g.neuron_bytes for b in batch_neurons(g.impacts, g.neuron_bytes, 8)]
+                for g in groups
+            ]
+        )
+        assert policy.objective == float(coeffs @ np.ones(coeffs.size))
+        assert policy.solver_name == "ilp"
+
+    def test_budget_one_batch_short_calls_highs(self, rng, milp_calls):
+        groups = make_groups(rng, n_groups=3, n_neurons=64)
+        total = sum(g.total_bytes for g in groups)
+        budget = total - 8 * 1e6
+        policy = solve_ilp(groups, PC_HIGH, budget, options=SolverOptions(batch_size=8))
+        assert len(milp_calls) == 1
+        assert_feasible(policy, groups, budget)
+        assert sum(int(mask.sum()) for mask in policy.gpu_masks) == 3 * 64 - 8
+
+    def test_binding_cpu_row_calls_highs(self, rng, milp_calls):
+        # GPU and CPU both hold exactly their budgets: one batch stays home.
+        groups = make_groups(rng, n_groups=2, n_neurons=64)
+        total = sum(g.total_bytes for g in groups)
+        batch_bytes = 8 * 1e6
+        policy = solve_ilp(
+            groups, PC_HIGH, total - batch_bytes, cpu_budget_bytes=batch_bytes,
+            options=SolverOptions(batch_size=8),
+        )
+        assert len(milp_calls) == 1
+        assert_feasible(policy, groups, total - batch_bytes, batch_bytes)
+        assert policy.gpu_bytes == pytest.approx(total - batch_bytes)
+
+    def test_group_below_its_threshold_stays_on_cpu(self, rng, milp_calls):
+        # 2e4-byte neurons need C_l = 77 on the GPU; a 64-neuron group can
+        # never reach it, so the all-GPU point is infeasible.
+        groups = make_groups(rng, n_groups=2, n_neurons=64)
+        small = NeuronGroup(name="small", impacts=rng.random(64), neuron_bytes=2e4)
+        assert communication_threshold(small, PC_HIGH) > small.n_neurons
+        total = sum(g.total_bytes for g in groups) + small.total_bytes
+        policy = solve_ilp(
+            groups + [small], PC_HIGH, 2 * total, options=SolverOptions(batch_size=8)
+        )
+        assert len(milp_calls) == 1
+        assert_feasible(policy, groups + [small], 2 * total)
+        assert not policy.mask("small").any()
+        assert all(policy.mask(g.name).all() for g in groups)

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import profiles
+from repro.core.profiles import synthesize_model_probs
+from repro.models.config import Activation, tiny_config
 from repro.sparsity.powerlaw import (
+    _scale_for_mean,
     activation_cdf,
     fit_zipf_alpha,
     neuron_fraction_for_mass,
@@ -13,6 +17,61 @@ from repro.sparsity.powerlaw import (
     top_share,
     zipf_weights,
 )
+
+
+def reference_scale_to_mean(weights, rate):
+    """The doubling plus 80-step bisection the closed-form scale replaced."""
+    lo, hi = 0.0, rate / max(float(weights.mean()), 1e-300)
+    while float(np.minimum(hi * weights, 1.0).mean()) < rate:
+        hi *= 2.0
+        if hi > 1e30:
+            raise ValueError("cannot reach the requested activation rate")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if float(np.minimum(mid * weights, 1.0).mean()) < rate:
+            lo = mid
+        else:
+            hi = mid
+    return np.minimum(hi * weights, 1.0)
+
+
+def reference_synthesize(
+    n_neurons,
+    rng,
+    hot_fraction=0.26,
+    hot_mass=0.80,
+    mean_activation_rate=0.10,
+    shuffle=True,
+    jitter=0.05,
+):
+    """``synthesize_activation_probs`` as it was before the closed-form scale
+    (argument validation left out)."""
+    noise = np.exp(rng.normal(0.0, jitter, size=n_neurons)) if jitter > 0 else 1.0
+
+    def share_for_alpha(alpha):
+        probs = reference_scale_to_mean(
+            zipf_weights(n_neurons, alpha) * noise, mean_activation_rate
+        )
+        return top_share(probs, hot_fraction), probs
+
+    lo, hi = 0.0, 12.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        share, probs = share_for_alpha(mid)
+        if abs(share - hot_mass) < 1e-4:
+            break
+        if share < hot_mass:
+            lo = mid
+        else:
+            hi = mid
+    probs = np.clip(probs, 1e-6, 1.0)
+    if shuffle:
+        rng.shuffle(probs)
+    return probs
+
+
+def scaled(weights, rate):
+    return np.minimum(_scale_for_mean(weights, np.sort(weights), rate) * weights, 1.0)
 
 
 class TestZipf:
@@ -68,6 +127,62 @@ class TestFitAlpha:
         alpha = fit_zipf_alpha(1000, hot_fraction, hot_mass)
         share = top_share(zipf_weights(1000, alpha), hot_fraction)
         assert share == pytest.approx(hot_mass, abs=0.03)
+
+
+class TestClosedFormScale:
+    """The closed-form scale returns exactly what the bisection returned."""
+
+    @given(
+        n=st.integers(1, 4096),
+        alpha=st.floats(0.0, 4.0),
+        jitter=st.sampled_from([0.0, 0.05, 0.3]),
+        rate=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1000, alpha=0.0, jitter=0.0, rate=0.1, seed=0)  # all weights equal
+    @example(n=1, alpha=1.0, jitter=0.05, rate=0.3, seed=0)
+    @example(n=1, alpha=0.0, jitter=0.0, rate=0.5, seed=0)
+    @example(n=512, alpha=0.3, jitter=0.0, rate=0.99, seed=0)  # 76% of entries clip
+    @example(n=4096, alpha=1.0, jitter=0.3, rate=0.9, seed=1)  # 64% of entries clip
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_bisection(self, n, alpha, jitter, rate, seed):
+        noise = (
+            np.exp(np.random.default_rng(seed).normal(0.0, jitter, size=n))
+            if jitter > 0
+            else 1.0
+        )
+        weights = zipf_weights(n, alpha) * noise
+        assert np.array_equal(scaled(weights, rate), reference_scale_to_mean(weights, rate))
+
+    def test_model_profiles_match_reference_synthesis(self, monkeypatch):
+        for activation in (Activation.RELU, Activation.REGLU):
+            cfg = tiny_config(n_layers=3, d_ffn=512, n_heads=8, activation=activation)
+            mlp, attn = synthesize_model_probs(cfg, np.random.default_rng(5))
+            with monkeypatch.context() as patch:
+                patch.setattr(profiles, "synthesize_activation_probs", reference_synthesize)
+                ref_mlp, ref_attn = synthesize_model_probs(cfg, np.random.default_rng(5))
+            assert len(mlp) == len(ref_mlp) == len(attn) == len(ref_attn) == 3
+            for new, ref in zip(mlp + attn, ref_mlp + ref_attn):
+                assert np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("rate", [1.0 + 1e-9, 1.5, 10.0])
+    def test_rate_above_one_raises(self, rate):
+        weights = zipf_weights(100, 1.0)
+        with pytest.raises(ValueError, match="cannot reach"):
+            _scale_for_mean(weights, np.sort(weights), rate)
+
+    def test_upward_search_stops_at_the_largest_float(self):
+        # One ulp above 1 slips past the closed-form check on these weights,
+        # so the search itself has to give up before +inf and the NaN
+        # bit patterns beyond it.
+        weights = zipf_weights(2, 0.5)
+        with pytest.raises(ValueError, match="cannot reach"):
+            _scale_for_mean(weights, np.sort(weights), np.nextafter(1.0, 2.0))
+
+    def test_zero_weights_cannot_reach_rate(self):
+        weights = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="cannot reach"):
+            _scale_for_mean(weights, np.sort(weights), 0.5)
 
 
 class TestSynthesize:
