@@ -15,9 +15,6 @@ from repro.analysis.whatif import (
     STANDARD_KNOBS,
     PowerWhatIfResult,
     WhatIfResult,
-    cross_validate,
-    reprice_schedule,
-    reprice_tasks,
     whatif_power_sensitivity,
     whatif_sensitivity,
 )
@@ -38,7 +35,4 @@ __all__ = [
     "WhatIfResult",
     "whatif_sensitivity",
     "whatif_power_sensitivity",
-    "cross_validate",
-    "reprice_schedule",
-    "reprice_tasks",
 ]

@@ -16,14 +16,14 @@ configuration is slow:
   schedule: the chain of tasks with zero slack that sets the makespan, the
   gating reason for each segment (dependency wait vs. resource
   serialization), and per-operator slack for everything off the path.
-* :func:`analyze_iteration` — one-call convenience: simulate one iteration
-  of an engine and return the schedule, its decomposition, and its
-  critical path together.
+* :func:`analyze_iteration` — one-call convenience: price one engine
+  iteration with ``simulate_iteration`` and return the schedule, its
+  decomposition, and its critical path together.
 
-All inputs are the simulator's own records (:class:`SimTask` /
-:class:`ScheduleResult` / :class:`~repro.telemetry.tracer.TaskSpan`);
-nothing here re-prices or re-schedules, so attribution is exact for the
-run it describes.
+All inputs are the simulator's own records (a :class:`ScheduleResult`,
+whose tasks carry their dependency edges and cost terms, or recorded
+:class:`~repro.telemetry.tracer.TaskSpan` lists); nothing here re-prices
+or re-schedules, so attribution is exact for the run it describes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.hardware.costmodel import COST_COMPONENTS
-from repro.hardware.events import EventSimulator, ScheduleResult, SimTask, TaskResult
+from repro.hardware.events import ScheduleResult, TaskResult
 from repro.units import Ratio, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -239,20 +239,19 @@ class CriticalPath:
         ]
 
 
-def critical_path(tasks: list[SimTask], result: ScheduleResult) -> CriticalPath:
+def critical_path(result: ScheduleResult) -> CriticalPath:
     """Critical-path analysis of a realized schedule.
 
-    ``tasks`` is the DAG handed to the simulator and ``result`` its
-    schedule.  Two edge families constrain each task's start: its declared
-    dependencies and the previous task scheduled on the same resource
-    (devices are serial).  The critical path is walked backward from the
-    makespan-setting task through whichever predecessor finished exactly
-    at each task's start; slack comes from the standard backward
+    The dependency edges are the ones the simulator recorded on each
+    :class:`TaskResult`.  Two edge families constrain each task's start:
+    its declared dependencies and the previous task scheduled on the same
+    resource (devices are serial).  The critical path is walked backward
+    from the makespan-setting task through whichever predecessor finished
+    exactly at each task's start; slack comes from the standard backward
     (latest-start) pass over the same edges, so critical tasks report
     slack 0 and every other task the seconds it could slip without moving
     the makespan.
     """
-    by_name = {t.name: t for t in tasks}
     res = result.tasks
     if not res:
         return CriticalPath(segments=[], makespan=0.0, slack={})
@@ -268,8 +267,8 @@ def critical_path(tasks: list[SimTask], result: ScheduleResult) -> CriticalPath:
         for earlier, later in zip(names, names[1:]):
             prev_on_resource[later] = earlier
             succ[earlier].append(later)
-    for name in res:
-        for dep in by_name[name].deps:
+    for name, tr in res.items():
+        for dep in tr.deps:
             succ[dep].append(name)
 
     # Backward pass: latest finish such that the makespan is preserved.
@@ -306,7 +305,7 @@ def critical_path(tasks: list[SimTask], result: ScheduleResult) -> CriticalPath:
         tr = res[current]
         gate = "start"
         nxt = None
-        for dep in by_name[current].deps:
+        for dep in tr.deps:
             # Gate classification is exact by construction: the scheduler
             # sets each start to the float max of dep finishes and resource
             # availability, so the gating predecessor matches bit-for-bit.
@@ -348,12 +347,9 @@ def analyze_iteration(
     batch: int = 1,
 ) -> IterationAnalysis:
     """Simulate one engine iteration and attribute its time end to end."""
-    from repro.engine.base import RESOURCES
-
-    tasks = engine.iteration_tasks(ctx_len, n_tokens, batch)
-    result = EventSimulator(list(RESOURCES)).run(tasks)
+    result = engine.simulate_iteration(ctx_len, n_tokens, batch)
     return IterationAnalysis(
         schedule=result,
         decomposition=decompose(result),
-        critical_path=critical_path(tasks, result),
+        critical_path=critical_path(result),
     )

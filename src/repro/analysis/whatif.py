@@ -1,22 +1,18 @@
-"""What-if sensitivity: re-cost a recorded schedule under hardware knobs.
+"""What-if sensitivity: re-price one iteration under hardware knobs.
 
 The attribution layer says where time went; the next question is *what
-single knob would help most*.  Because every engine task carries its raw
-roofline terms (:class:`~repro.hardware.costmodel.TaskCost` — flops,
-bytes, launch/sync counts, UM flag), a recorded schedule can be re-priced
-**analytically** against a perturbed :class:`MachineSpec` and re-run
-through the deterministic list scheduler without touching the engine: the
-DAG's shape does not depend on the machine, only its durations do.
+single knob would help most*.  Each knob perturbs the engine's
+:class:`MachineSpec`, and the iteration is priced again on the perturbed
+machine through :meth:`~repro.engine.base.PerfEngine.simulate_iteration`,
+the same call every other consumer prices through.  The DAG's shape does
+not depend on the machine, only its durations do, so every knob compares
+the same operators.
 
 :data:`STANDARD_KNOBS` covers the perturbations the paper's bottleneck
 arguments revolve around: PCIe bandwidth x2 (Section 6.2's weight-streaming
 claim), GPU/CPU memory bandwidth x2 (Equation 5's bandwidth-bound regime),
 kernel-launch overhead -> 0 and sync overhead -> 0 (Section 6.3.1's fixed
 costs), and CPU cores +/- (throughput of the CPU executor).
-
-:func:`cross_validate` checks the analytic predictions against an actual
-re-simulation of the engine on the perturbed machine — the two should
-agree to float noise on deterministic DAGs, and the acceptance bar is 5%.
 
 :func:`whatif_power_sensitivity` extends the same knobs to *perf per
 watt*: each re-priced schedule is also re-metered
@@ -32,7 +28,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.hardware.events import EventSimulator, ScheduleResult, SimTask
 from repro.hardware.spec import MachineSpec
 from repro.units import Joules, Ratio, Seconds, Watts
 
@@ -45,11 +40,8 @@ __all__ = [
     "STANDARD_KNOBS",
     "PowerWhatIfResult",
     "WhatIfResult",
-    "reprice_tasks",
-    "reprice_schedule",
     "whatif_sensitivity",
     "whatif_power_sensitivity",
-    "cross_validate",
 ]
 
 Knob = Callable[[MachineSpec], MachineSpec]
@@ -113,7 +105,7 @@ STANDARD_KNOBS: dict[str, Knob] = {
 
 @dataclass(frozen=True)
 class WhatIfResult:
-    """Predicted effect of one hardware knob on one recorded schedule."""
+    """Predicted effect of one hardware knob on one iteration."""
 
     knob: str
     baseline_makespan: Seconds
@@ -187,58 +179,28 @@ class PowerWhatIfResult:
         }
 
 
-def reprice_tasks(tasks: list[SimTask], machine: MachineSpec) -> list[SimTask]:
-    """Same DAG, durations re-derived from each task's recorded work.
-
-    Tasks without a :class:`~repro.hardware.costmodel.TaskCost` keep their
-    original duration (there is nothing to re-price).
-    """
-    out: list[SimTask] = []
-    for task in tasks:
-        if task.cost is None:
-            out.append(task)
-            continue
-        cost = task.cost.repriced(task.resource, machine)
-        out.append(
-            # Not engine pricing: this clones an already-priced recorded
-            # DAG with its TaskCost re-evaluated under perturbed hardware.
-            SimTask(  # repro-lint: disable=inline-sim-task -- re-pricing a recorded DAG
-                name=task.name,
-                resource=task.resource,
-                duration=cost.duration,
-                deps=task.deps,
-                priority=task.priority,
-                tag=task.tag,
-                cost=cost,
-            )
-        )
-    return out
-
-
-def reprice_schedule(tasks: list[SimTask], machine: MachineSpec) -> ScheduleResult:
-    """Re-price the DAG on ``machine`` and re-run the list scheduler."""
-    resources = sorted({t.resource for t in tasks})
-    return EventSimulator(resources).run(reprice_tasks(tasks, machine))
-
-
 def whatif_sensitivity(
-    tasks: list[SimTask],
-    machine: MachineSpec,
+    engine: "PerfEngine",
+    ctx_len: int,
+    n_tokens: int,
+    batch: int = 1,
     knobs: Mapping[str, Knob] | None = None,
 ) -> list[WhatIfResult]:
-    """Predicted speedup of each knob for one recorded iteration DAG.
+    """Predicted speedup of each knob for one iteration of ``engine``.
 
-    ``machine`` is the spec the DAG was originally priced against; each
-    knob perturbs it and the schedule is analytically re-costed.  Results
-    come back sorted by predicted speedup, best first.
+    The baseline is the iteration priced on ``engine.machine``; each knob
+    perturbs that machine and the iteration is priced again on it.
+    Results come back sorted by predicted speedup, best first.
     """
     knobs = dict(knobs) if knobs is not None else dict(STANDARD_KNOBS)
-    baseline = reprice_schedule(tasks, machine).makespan
+    baseline = engine.simulate_iteration(ctx_len, n_tokens, batch).makespan
     results = [
         WhatIfResult(
             knob=name,
             baseline_makespan=baseline,
-            predicted_makespan=reprice_schedule(tasks, transform(machine)).makespan,
+            predicted_makespan=engine.simulate_iteration(
+                ctx_len, n_tokens, batch, machine=transform(engine.machine)
+            ).makespan,
         )
         for name, transform in knobs.items()
     ]
@@ -247,14 +209,16 @@ def whatif_sensitivity(
 
 
 def whatif_power_sensitivity(
-    tasks: list[SimTask],
-    machine: MachineSpec,
+    engine: "PerfEngine",
+    ctx_len: int,
+    n_tokens: int,
+    batch: int = 1,
     knobs: Mapping[str, Knob] | None = None,
     model: "PowerModel | None" = None,
 ) -> list[PowerWhatIfResult]:
     """Predicted speedup *and* perf-per-watt gain of each knob.
 
-    Each knob's perturbed schedule is metered with
+    Each knob's schedule is metered with
     :func:`repro.telemetry.power.schedule_energy` against the perturbed
     machine (the :data:`STANDARD_KNOBS` perturbations use
     ``dataclasses.replace``, so the power fields carry over unchanged —
@@ -266,12 +230,13 @@ def whatif_power_sensitivity(
     from repro.telemetry.power import schedule_energy
 
     knobs = dict(knobs) if knobs is not None else dict(STANDARD_KNOBS)
-    base_sched = reprice_schedule(tasks, machine)
+    machine = engine.machine
+    base_sched = engine.simulate_iteration(ctx_len, n_tokens, batch)
     base_energy = schedule_energy(base_sched, machine, model=model)
     results: list[PowerWhatIfResult] = []
     for name, transform in knobs.items():
         perturbed = transform(machine)
-        sched = reprice_schedule(tasks, perturbed)
+        sched = engine.simulate_iteration(ctx_len, n_tokens, batch, machine=perturbed)
         energy = schedule_energy(sched, perturbed, model=model)
         results.append(
             PowerWhatIfResult(
@@ -284,31 +249,3 @@ def whatif_power_sensitivity(
         )
     results.sort(key=lambda r: -r.perf_per_watt_gain)
     return results
-
-
-def cross_validate(
-    engine: "PerfEngine",
-    ctx_len: int,
-    n_tokens: int,
-    batch: int = 1,
-    knobs: Mapping[str, Knob] | None = None,
-) -> dict[str, dict[str, float]]:
-    """Analytic what-if vs. actual re-simulation, per knob.
-
-    For each knob, the engine is actually re-run with the perturbed
-    machine (``simulate_iteration(machine=...)``) and compared to the
-    analytic re-pricing of the unperturbed DAG.  Returns per-knob
-    ``{"predicted": s, "actual": s, "rel_error": |p-a|/a}``.
-    """
-    knobs = dict(knobs) if knobs is not None else dict(STANDARD_KNOBS)
-    tasks = engine.iteration_tasks(ctx_len, n_tokens, batch)
-    report: dict[str, dict[str, float]] = {}
-    for name, transform in knobs.items():
-        perturbed = transform(engine.machine)
-        predicted = reprice_schedule(tasks, perturbed).makespan
-        actual = engine.simulate_iteration(
-            ctx_len, n_tokens, batch, machine=perturbed
-        ).makespan
-        rel = abs(predicted - actual) / actual if actual > 0.0 else 0.0
-        report[name] = {"predicted": predicted, "actual": actual, "rel_error": rel}
-    return report

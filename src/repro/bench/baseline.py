@@ -23,9 +23,8 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.analysis.attribution import critical_path, decompose
+from repro.analysis.attribution import analyze_iteration
 from repro.bench.runner import make_engine
-from repro.hardware.events import EventSimulator
 from repro.telemetry.power import fleet_energy, fleet_generated_tokens, request_energy
 
 __all__ = [
@@ -105,17 +104,11 @@ def _metric(
 
 def _attribution_fingerprint(engine) -> dict:
     """Component shares + bottleneck of one decode iteration (the diff key)."""
-    from repro.engine.base import RESOURCES
-
-    ctx = E2E_INPUT_LEN + E2E_OUTPUT_LEN // 2
-    tasks = engine.iteration_tasks(ctx, 1, 1)
-    result = EventSimulator(list(RESOURCES)).run(tasks)
-    deco = decompose(result)
-    cp = critical_path(tasks, result)
+    analysis = analyze_iteration(engine, E2E_INPUT_LEN + E2E_OUTPUT_LEN // 2, 1)
     return {
-        "shares": deco.shares(),
-        "critical_resource": cp.gating_resource(),
-        "makespan_s": result.makespan,
+        "shares": analysis.decomposition.shares(),
+        "critical_resource": analysis.critical_path.gating_resource(),
+        "makespan_s": analysis.schedule.makespan,
     }
 
 

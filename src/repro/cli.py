@@ -941,8 +941,9 @@ def _cmd_energy(args: argparse.Namespace) -> int:
             "powerinfer", args.model, args.machine, args.dtype, seed=args.seed
         )
         ctx = args.input_len + args.output_len // 2
-        tasks = engine.iteration_tasks(ctx, 1, args.batch)
-        wrows = [r.as_row() for r in whatif_power_sensitivity(tasks, engine.machine)]
+        wrows = [
+            r.as_row() for r in whatif_power_sensitivity(engine, ctx, 1, args.batch)
+        ]
         print()
         print(
             format_table(
@@ -1003,8 +1004,7 @@ def _cmd_attribution(args: argparse.Namespace) -> int:
         gates[seg.gate] = gates.get(seg.gate, 0) + 1
     print(f"gates along path: {gates}")
 
-    tasks = engine.iteration_tasks(args.ctx, 1, args.batch)
-    rows = [r.as_row() for r in whatif_sensitivity(tasks, engine.machine)]
+    rows = [r.as_row() for r in whatif_sensitivity(engine, args.ctx, 1, args.batch)]
     print()
     print(format_table(rows, "what-if sensitivity (analytic re-pricing)"))
     return 0

@@ -2,10 +2,13 @@
 
 Every engine — PowerInfer and the baselines — implements one method:
 :meth:`PerfEngine.iteration_tasks`, producing the operator DAG for a single
-inference iteration (one token block) at a given context length.  The base
-class schedules that DAG on the machine's GPU/CPU/PCIe resources via the
-discrete-event simulator and assembles end-to-end request results
-(prompt phase + generation phase, paper Section 2.1).
+inference iteration (one token block) at a given context length, priced on
+a given machine.  :meth:`PerfEngine.simulate_iteration` is the one place
+that builds such a DAG and schedules it on the GPU/CPU/PCIe resources via
+the discrete-event simulator; the serving cost cache, fault epochs, what-if
+knobs and attribution all price through it.  The base class also assembles
+end-to-end request results (prompt phase + generation phase, paper
+Section 2.1).
 
 Generation-phase cost varies (slowly, via the KV cache) with context
 length, so :meth:`simulate_request` samples the per-token DAG at a few
@@ -27,7 +30,6 @@ from repro.hardware.events import EventSimulator, ScheduleResult, SimTask
 from repro.units import Bytes, Flops, Ratio, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.hardware.faults import FaultSchedule
     from repro.hardware.spec import DeviceSpec, LinkSpec, MachineSpec
     from repro.telemetry.tracer import Tracer
 
@@ -45,18 +47,17 @@ def op_task(
     tag: str = "",
     sync: Seconds = 0.0,
     include_launch: bool = True,
-    priority: int = 0,
 ) -> SimTask:
     """A :class:`SimTask` priced by the roofline model, cost terms attached.
 
     The attached :class:`~repro.hardware.costmodel.TaskCost` is what lets
     the attribution layer decompose the span into memory/compute/launch/
-    sync components and re-price it under perturbed hardware; its
-    ``duration`` is bit-identical to ``sync + CostModel.op_time(...)``.
+    sync components; its ``duration`` is bit-identical to
+    ``sync + CostModel.op_time(...)``.
     """
     cost = CostModel.op_cost(work, device, include_launch=include_launch, sync=sync)
     return SimTask(  # repro-lint: disable=inline-sim-task -- the blessed constructor itself
-        name, resource, cost.duration, deps=deps, priority=priority, tag=tag, cost=cost
+        name, resource, cost.duration, deps=deps, tag=tag, cost=cost
     )
 
 
@@ -67,12 +68,11 @@ def transfer_task(
     deps: tuple[str, ...] = (),
     tag: str = "transfer",
     unified_memory: bool = False,
-    priority: int = 0,
 ) -> SimTask:
     """A PCIe :class:`SimTask` priced by the link model, cost attached."""
     cost = CostModel.transfer_cost(nbytes, link, unified_memory=unified_memory)
     return SimTask(  # repro-lint: disable=inline-sim-task -- the blessed constructor itself
-        name, "pcie", cost.duration, deps=deps, priority=priority, tag=tag, cost=cost
+        name, "pcie", cost.duration, deps=deps, tag=tag, cost=cost
     )
 
 
@@ -92,14 +92,19 @@ class PerfEngine(ABC):
     @abstractmethod
     def iteration_tasks(
         self,
+        machine: "MachineSpec",
         ctx_len: int,
         n_tokens: int,
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        """Operator DAG for one inference iteration.
+        """Operator DAG for one inference iteration, priced on ``machine``.
 
         Args:
+            machine: The hardware every task is priced against: the plan's
+                machine or a perturbed copy of it (a fault epoch, a what-if
+                knob).  Engines read it, never ``self.machine``; the DAG's
+                shape depends only on the plan.
             ctx_len: Tokens already in the KV cache.
             n_tokens: Tokens processed in this iteration (prompt phase:
                 the prompt length; generation phase: 1).
@@ -128,12 +133,11 @@ class PerfEngine(ABC):
     ) -> ScheduleResult:
         """Schedule one iteration's DAG; returns the timing result.
 
-        ``machine`` overrides the plan's machine for this one iteration —
-        the hook fault injection uses to make iteration cost time-varying
-        (a :class:`~repro.hardware.faults.FaultSchedule` perturbs the spec
-        per epoch; see :meth:`simulate_iteration_at`).  The override is
-        visible to :meth:`iteration_tasks` via ``self.machine`` and is
-        restored before returning.
+        ``machine`` prices this one iteration on a spec other than the
+        plan's (the default): a fault epoch's perturbed machine (see
+        :class:`~repro.serving.continuous.IterationCostCache`) or a
+        what-if knob.  It is handed to :meth:`iteration_tasks`; the engine
+        itself is never modified, so pricing is re-entrant.
 
         With a ``tracer`` attached, every scheduled task is recorded as a
         device-lane span shifted to global time ``trace_t0`` (and labelled
@@ -148,17 +152,10 @@ class PerfEngine(ABC):
         violation.  Off by default: validation is a debugging/CI hook, not
         a per-iteration cost.
         """
-        sim = EventSimulator(list(RESOURCES))
-        if machine is None or machine is self.machine:
-            tasks = self.iteration_tasks(ctx_len, n_tokens, batch, rng)
-        else:
-            pristine = self.machine
-            self.machine = machine
-            try:
-                tasks = self.iteration_tasks(ctx_len, n_tokens, batch, rng)
-            finally:
-                self.machine = pristine
-        result = sim.run(tasks)
+        tasks = self.iteration_tasks(
+            self.machine if machine is None else machine, ctx_len, n_tokens, batch, rng
+        )
+        result = EventSimulator(list(RESOURCES)).run(tasks)
         if validate:
             # Imported lazily: repro.check is diagnostic tooling, and the
             # default (validate=False) path must not pay for it.
@@ -168,41 +165,6 @@ class PerfEngine(ABC):
         if tracer is not None and tracer.enabled:
             tracer.add_schedule(result, t0=trace_t0, iteration=trace_iteration)
         return result
-
-    def simulate_iteration_at(
-        self,
-        now: Seconds,
-        faults: "FaultSchedule | None",
-        ctx_len: int,
-        n_tokens: int,
-        batch: int = 1,
-        rng: np.random.Generator | None = None,
-        tracer: "Tracer | None" = None,
-        trace_iteration: int | None = None,
-        validate: bool = False,
-    ) -> ScheduleResult:
-        """One iteration at simulated time ``now`` under a fault schedule.
-
-        With ``faults`` given, the machine spec is perturbed by whatever
-        fault windows are active at ``now`` before costing the DAG, making
-        the simulation time-varying; with ``faults=None`` this is exactly
-        :meth:`simulate_iteration`.  A ``tracer`` records the scheduled
-        tasks as device spans anchored at ``now`` on the global timeline.
-        """
-        machine = None
-        if faults is not None:
-            machine = faults.perturbed_machine(self.machine, now)
-        return self.simulate_iteration(
-            ctx_len,
-            n_tokens,
-            batch,
-            rng,
-            machine=machine,
-            tracer=tracer,
-            trace_t0=now,
-            trace_iteration=trace_iteration,
-            validate=validate,
-        )
 
     def simulate_request(
         self,
@@ -320,3 +282,20 @@ class PerfEngine(ABC):
     def _kv_flops(self, ctx_len: int, n_tokens: int, batch: int) -> Flops:
         avg_context = ctx_len + n_tokens / 2.0
         return batch * n_tokens * avg_context * 4.0 * self.model.kv_dim
+
+    def _lm_head_task(self, machine: "MachineSpec", dep: str, batch: int) -> SimTask:
+        """The LM head on ``machine``'s GPU (embeddings are GPU-resident)."""
+        work = OpWork(
+            flops=2.0 * self.model.embedding_params * batch,
+            bytes_read=self.dtype.nbytes(self.model.embedding_params)
+            + self._activation_bytes(batch),
+            bytes_written=batch * self.model.vocab_size * 4.0,
+        )
+        return op_task(
+            "lm_head",
+            "gpu",
+            machine.gpu,
+            work,
+            deps=(dep,) if dep else (),
+            tag="lmhead",
+        )

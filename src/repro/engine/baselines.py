@@ -31,6 +31,7 @@ from repro.engine.plan import DeploymentPlan
 from repro.hardware.costmodel import OpWork
 from repro.hardware.events import SimTask
 from repro.hardware.memory import OutOfMemoryError
+from repro.hardware.spec import MachineSpec
 
 __all__ = [
     "LlamaCppEngine",
@@ -81,12 +82,12 @@ class LlamaCppEngine(_LayerSplitMixin, PerfEngine):
 
     def iteration_tasks(
         self,
+        machine: MachineSpec,
         ctx_len: int,
         n_tokens: int,
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        machine = self.machine
         n_gpu = self.gpu_layer_count()
         n_cpu = self.model.n_layers - n_gpu
         rows = n_tokens * batch
@@ -128,24 +129,8 @@ class LlamaCppEngine(_LayerSplitMixin, PerfEngine):
                 )
             )
             prev = name
-        tasks.append(self._lm_head_task(prev, batch))
+        tasks.append(self._lm_head_task(machine, prev, batch))
         return tasks
-
-    def _lm_head_task(self, dep: str, batch: int) -> SimTask:
-        work = OpWork(
-            flops=2.0 * self.model.embedding_params * batch,
-            bytes_read=self.dtype.nbytes(self.model.embedding_params)
-            + self._activation_bytes(batch),
-            bytes_written=batch * self.model.vocab_size * 4.0,
-        )
-        return op_task(
-            "lm_head",
-            "gpu",
-            self.machine.gpu,
-            work,
-            deps=(dep,) if dep else (),
-            tag="lmhead",
-        )
 
     def gpu_load_share(self, batch: int = 1) -> float:
         """Dense engines: GPU share == share of layer weights on the GPU."""
@@ -159,12 +144,13 @@ class FlexGenEngine(_LayerSplitMixin, PerfEngine):
 
     def iteration_tasks(
         self,
+        machine: MachineSpec,
         ctx_len: int,
         n_tokens: int,
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        machine, model, dtype = self.machine, self.model, self.dtype
+        model, dtype = self.model, self.dtype
         n_resident = self.gpu_layer_count()
         rows = n_tokens * batch
         act = self._activation_bytes(rows)
@@ -204,7 +190,7 @@ class FlexGenEngine(_LayerSplitMixin, PerfEngine):
                 )
             )
             prev = name
-        tasks.append(LlamaCppEngine._lm_head_task(self, prev, batch))
+        tasks.append(self._lm_head_task(machine, prev, batch))
         return tasks
 
     def gpu_load_share(self, batch: int = 1) -> float:
@@ -218,12 +204,13 @@ class DejaVuUmEngine(_LayerSplitMixin, PerfEngine):
 
     def iteration_tasks(
         self,
+        machine: MachineSpec,
         ctx_len: int,
         n_tokens: int,
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        machine, model, dtype = self.machine, self.model, self.dtype
+        model, dtype = self.model, self.dtype
         n_resident = self.gpu_layer_count()
         rows = n_tokens * batch
         act = self._activation_bytes(rows)
@@ -294,7 +281,7 @@ class DejaVuUmEngine(_LayerSplitMixin, PerfEngine):
                 )
             )
             prev = name
-        tasks.append(LlamaCppEngine._lm_head_task(self, prev, batch))
+        tasks.append(self._lm_head_task(machine, prev, batch))
         return tasks
 
     def gpu_load_share(self, batch: int = 1) -> float:
@@ -322,12 +309,13 @@ class VllmEngine(PerfEngine):
 
     def iteration_tasks(
         self,
+        machine: MachineSpec,
         ctx_len: int,
         n_tokens: int,
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        machine, model, dtype = self.machine, self.model, self.dtype
+        model, dtype = self.model, self.dtype
         rows = n_tokens * batch
         act = self._activation_bytes(rows)
         tasks: list[SimTask] = []
@@ -353,7 +341,7 @@ class VllmEngine(PerfEngine):
                 )
             )
             prev = name
-        tasks.append(LlamaCppEngine._lm_head_task(self, prev, batch))
+        tasks.append(self._lm_head_task(machine, prev, batch))
         return tasks
 
     def gpu_load_share(self, batch: int = 1) -> float:
@@ -372,12 +360,13 @@ class LayerwiseSparseEngine(_LayerSplitMixin, PerfEngine):
 
     def iteration_tasks(
         self,
+        machine: MachineSpec,
         ctx_len: int,
         n_tokens: int,
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        machine, model, dtype = self.machine, self.model, self.dtype
+        model, dtype = self.model, self.dtype
         n_gpu = self.gpu_layer_count()
         n_cpu = model.n_layers - n_gpu
         rows = n_tokens * batch
@@ -441,7 +430,7 @@ class LayerwiseSparseEngine(_LayerSplitMixin, PerfEngine):
             prev = "hidden_xfer"
         for li in range(n_cpu, model.n_layers):
             layer_tasks(li, "gpu", machine.gpu)
-        tasks.append(LlamaCppEngine._lm_head_task(self, prev, batch))
+        tasks.append(self._lm_head_task(machine, prev, batch))
         return tasks
 
     def gpu_load_share(self, batch: int = 1) -> float:

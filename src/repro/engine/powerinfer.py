@@ -23,9 +23,10 @@ import numpy as np
 from repro.engine.base import PerfEngine, op_task, transfer_task
 from repro.hardware.costmodel import OpWork
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import; tasks are built
+if TYPE_CHECKING:  # pragma: no cover - type-only imports; tasks are built
     # exclusively through the op_task/transfer_task pricing constructors.
     from repro.hardware.events import SimTask
+    from repro.hardware.spec import MachineSpec
 
 __all__ = ["PowerInferEngine"]
 
@@ -48,12 +49,13 @@ class PowerInferEngine(PerfEngine):
 
     def iteration_tasks(
         self,
+        machine: "MachineSpec",
         ctx_len: int,
         n_tokens: int,
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        model, machine, dtype = self.model, self.machine, self.dtype
+        model, dtype = self.model, self.dtype
         gpu, cpu, link = machine.gpu, machine.cpu, machine.link
         rows = n_tokens * batch  # token rows flowing through the layer
         act = self._activation_bytes(rows)
@@ -222,20 +224,5 @@ class PowerInferEngine(PerfEngine):
             )
             prev_out = mlp_merge
 
-        # -- LM head (embeddings are GPU-resident) -------------------------
-        lm_work = OpWork(
-            flops=2.0 * model.embedding_params * batch,
-            bytes_read=dtype.nbytes(model.embedding_params) + self._activation_bytes(batch),
-            bytes_written=batch * model.vocab_size * 4.0,
-        )
-        tasks.append(
-            op_task(
-                "lm_head",
-                "gpu",
-                gpu,
-                lm_work,
-                deps=(prev_out,) if prev_out else (),
-                tag="lmhead",
-            )
-        )
+        tasks.append(self._lm_head_task(machine, prev_out, batch))
         return tasks

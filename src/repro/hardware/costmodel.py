@@ -16,13 +16,9 @@ crossover the paper exploits in Figures 6 and 14.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.hardware.spec import DeviceSpec, LinkSpec
 from repro.units import Bytes, Flops, Ratio, Seconds
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.hardware.spec import MachineSpec
 
 __all__ = ["OpWork", "TaskCost", "CostModel", "COST_COMPONENTS"]
 
@@ -75,10 +71,10 @@ class OpWork:
 class TaskCost:
     """The roofline terms behind one task's duration, kept separable.
 
-    Attribution and what-if analysis need more than a scalar latency: they
-    need to know *why* the task costs what it costs and how that cost
-    responds to hardware knobs.  ``TaskCost`` records the cost model's own
-    terms at pricing time:
+    Attribution and energy metering need more than a scalar latency: they
+    need to know *why* the task costs what it costs, and which roofline
+    side binds.  ``TaskCost`` records the cost model's own terms at
+    pricing time:
 
     Attributes:
         flops: Floating-point work priced into ``compute_time``.
@@ -89,11 +85,6 @@ class TaskCost:
         launch: Dispatch overhead charged (0 when elided).
         sync: Fixed synchronization overhead charged (paper's T_sync).
         transfer: Link latency + DMA/UM streaming time (transfers only).
-        launches: How many dispatch overheads ``launch`` covers (0 or 1) —
-            what-if re-pricing rescales by the perturbed device's overhead.
-        syncs: How many sync overheads ``sync`` covers (0 or 1).
-        unified_memory: Whether ``transfer`` was priced at UM page-fault
-            efficiency rather than bulk-DMA efficiency.
     """
 
     flops: Flops = 0.0
@@ -103,9 +94,6 @@ class TaskCost:
     launch: Seconds = 0.0
     sync: Seconds = 0.0
     transfer: Seconds = 0.0
-    launches: int = 0
-    syncs: int = 0
-    unified_memory: bool = False
 
     @property
     def duration(self) -> Seconds:
@@ -138,34 +126,6 @@ class TaskCost:
             "sync": self.sync,
             "transfer": self.transfer,
         }
-
-    def repriced(self, resource: str, machine: "MachineSpec") -> "TaskCost":
-        """Re-price this task's recorded work on a (perturbed) machine.
-
-        The recorded ``flops``/``bytes`` are re-run through the same cost
-        formulas against ``machine``'s specs — the analytic core of what-if
-        sensitivity analysis.  ``resource`` is the task's resource name
-        (``"gpu"`` / ``"cpu"`` / ``"pcie"``).
-        """
-        if resource == "pcie":
-            return TaskCost(
-                bytes=self.bytes,
-                transfer=machine.link.transfer_time(
-                    self.bytes, unified_memory=self.unified_memory
-                ),
-                unified_memory=self.unified_memory,
-            )
-        device = machine.device(resource)
-        return TaskCost(
-            flops=self.flops,
-            bytes=self.bytes,
-            mem_time=self.bytes / device.effective_bandwidth,
-            compute_time=self.flops / device.compute_flops,
-            launch=self.launches * device.launch_overhead,
-            sync=self.syncs * machine.sync_overhead,
-            launches=self.launches,
-            syncs=self.syncs,
-        )
 
 
 class CostModel:
@@ -200,18 +160,15 @@ class CostModel:
         ``TaskCost.duration`` equals ``sync + op_time(work, device,
         include_launch)`` exactly; engines attach the returned record to
         their :class:`~repro.hardware.events.SimTask` so traces stay
-        decomposable and re-priceable.
+        decomposable.
         """
-        launched = include_launch
         return TaskCost(
             flops=work.flops,
             bytes=work.bytes_total,
             mem_time=work.bytes_total / device.effective_bandwidth,
             compute_time=work.flops / device.compute_flops,
-            launch=device.launch_overhead if launched else 0.0,
+            launch=device.launch_overhead if include_launch else 0.0,
             sync=sync,
-            launches=1 if launched else 0,
-            syncs=1 if sync > 0.0 else 0,
         )
 
     @staticmethod
@@ -222,7 +179,6 @@ class CostModel:
         return TaskCost(
             bytes=nbytes,
             transfer=link.transfer_time(nbytes, unified_memory=unified_memory),
-            unified_memory=unified_memory,
         )
 
     @staticmethod

@@ -9,8 +9,10 @@ event-driven list scheduling of a task DAG over those resources.
 
 Scheduling discipline: at every point in virtual time, each resource runs at
 most one task; a task becomes *ready* when all its dependencies have
-finished; ready tasks are started on their resource in (priority, insertion
-order), which makes the simulation fully deterministic.
+finished; ready tasks start in order of their earliest start time, ties
+broken by insertion order (the order in which they became ready, which for
+tasks without dependencies is their order in the task list).  That makes
+the simulation fully deterministic.
 """
 
 from __future__ import annotations
@@ -61,20 +63,17 @@ class SimTask:
         resource: Name of the resource that executes the task.
         duration: Execution time in seconds.
         deps: Names of tasks that must finish before this one starts.
-        priority: Lower values are scheduled first among simultaneously
-            ready tasks on the same resource.
         tag: Free-form label used for per-category time accounting
             (e.g. ``"transfer"``, ``"mlp"``, ``"predictor"``).
         cost: Optional structured cost terms behind ``duration``
             (:class:`~repro.hardware.costmodel.TaskCost`) — attached by
-            engines so attribution can decompose and re-price the task.
+            engines so attribution can decompose the task.
     """
 
     name: str
     resource: str
     duration: Seconds
     deps: tuple[str, ...] = ()
-    priority: int = 0
     tag: str = ""
     cost: "TaskCost | None" = None
 
@@ -84,9 +83,10 @@ class TaskResult:
     """Scheduled interval for one task.
 
     ``deps`` records the task's (deduplicated) dependency edges so a
-    realized :class:`ScheduleResult` is self-contained for validation —
-    :func:`repro.check.schedule.validate_schedule` can verify dependency
-    order without the original :class:`SimTask` list.
+    realized :class:`ScheduleResult` is self-contained —
+    :func:`repro.check.schedule.validate_schedule` verifies dependency
+    order and :func:`repro.analysis.attribution.critical_path` walks the
+    edges without the original :class:`SimTask` list.
     """
 
     name: str
@@ -215,18 +215,18 @@ class EventSimulator:
                 dependents[dep].append(task.name)
 
         counter = itertools.count()
-        # Ready heap entries: (earliest start, priority, tiebreak, name).
-        ready: list[tuple[float, int, int, str]] = []
+        # Ready heap entries: (earliest start, insertion tiebreak, name).
+        ready: list[tuple[float, int, str]] = []
         dep_finish: dict[str, float] = {t.name: 0.0 for t in tasks}
         for task in tasks:
             if indegree[task.name] == 0:
-                heapq.heappush(ready, (0.0, task.priority, next(counter), task.name))
+                heapq.heappush(ready, (0.0, next(counter), task.name))
 
         results: dict[str, TaskResult] = {}
         tag_time: dict[str, float] = {}
         completed = 0
         while ready:
-            earliest, _, _, name = heapq.heappop(ready)
+            earliest, _, name = heapq.heappop(ready)
             task = by_name[name]
             res = self._resources[task.resource]
             start, end = res.reserve(earliest, task.duration)
@@ -246,11 +246,7 @@ class EventSimulator:
                 dep_finish[child] = max(dep_finish[child], end)
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    child_task = by_name[child]
-                    heapq.heappush(
-                        ready,
-                        (dep_finish[child], child_task.priority, next(counter), child),
-                    )
+                    heapq.heappush(ready, (dep_finish[child], next(counter), child))
 
         if completed != len(tasks):
             unresolved = sorted(set(by_name) - set(results))

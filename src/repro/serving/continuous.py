@@ -53,6 +53,7 @@ that is unfinished at a boundary past its deadline is cancelled.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -207,19 +208,36 @@ class IterationCostCache:
         epoch = self.faults.epoch(now) if self.faults is not None else 0
         return (self._bucket(ctx_len), n_tokens, batch, epoch)
 
+    def _price(self, key: tuple[int, int, int, int], now: Seconds) -> ScheduleResult:
+        """Schedule ``key``'s iteration on the machine as the faults at
+        ``now`` leave it."""
+        machine = None
+        if self.faults is not None:
+            machine = self.faults.perturbed_machine(self.engine.machine, now)
+        return self.engine.simulate_iteration(*key[:3], machine=machine)
+
     def cost(
-        self, ctx_len: int, n_tokens: int, batch: int, now: Seconds = 0.0
+        self,
+        ctx_len: int,
+        n_tokens: int,
+        batch: int,
+        now: Seconds = 0.0,
+        keep_schedule: bool = False,
     ) -> Seconds:
         """Latency of one iteration at ``(ctx_len, n_tokens, batch)``.
 
         ``now`` selects the fault epoch when a schedule is attached (and
-        is ignored otherwise).
+        is ignored otherwise).  ``keep_schedule`` keeps the schedule a
+        miss prices, so a traced session's :meth:`schedule` replays it
+        instead of pricing the iteration again; untraced sessions keep
+        makespans only.
         """
         key = self._key(ctx_len, n_tokens, batch, now)
         if key not in self._cache:
-            self._cache[key] = self.engine.simulate_iteration_at(
-                now, self.faults, *key[:3]
-            ).makespan
+            sched = self._price(key, now)
+            self._cache[key] = sched.makespan
+            if keep_schedule:
+                self._schedules[key] = sched
         return self._cache[key]
 
     def schedule(
@@ -236,8 +254,7 @@ class IterationCostCache:
         key = self._key(ctx_len, n_tokens, batch, now)
         sched = self._schedules.get(key)
         if sched is None:
-            sched = self.engine.simulate_iteration_at(now, self.faults, *key[:3])
-            self._schedules[key] = sched
+            sched = self._schedules[key] = self._price(key, now)
             self._cache.setdefault(key, sched.makespan)
         return sched
 
@@ -778,11 +795,11 @@ class ServerSession:
         components: list[tuple[float, int, int, int]] = []
         for state, chunk in plan.prefill:
             components.append((cost, state.context, chunk, 1))
-            cost += costs.cost(state.context, chunk, 1, self.now)
+            cost += costs.cost(state.context, chunk, 1, self.now, keep_schedule=tracing)
         if plan.decode:
             ctx = max(state.context for state in plan.decode)
             components.append((cost, ctx, 1, len(plan.decode)))
-            cost += costs.cost(ctx, 1, len(plan.decode), self.now)
+            cost += costs.cost(ctx, 1, len(plan.decode), self.now, keep_schedule=tracing)
         end = self.now + cost
 
         if server.faults is not None:
@@ -1091,7 +1108,10 @@ class ContinuousServer:
             pristine_plan = self.engine.plan
             plan = pristine_plan.with_gpu_bytes_freed(target)
             freed = pristine_plan.gpu_weight_bytes - plan.gpu_weight_bytes
-            engine = type(self.engine)(plan)
+            # A shallow copy keeps every engine setting (e.g. PowerInfer's
+            # selective_sync); only the plan changes.
+            engine = copy.copy(self.engine)
+            engine.plan = plan
             cache = IterationCostCache(engine, self.costs.ctx_bucket, faults=self.faults)
             self._degraded = (engine, cache, float(freed))
         return self._degraded

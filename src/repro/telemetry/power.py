@@ -456,8 +456,9 @@ def schedule_energy(
     """Energy of one realized :class:`ScheduleResult` on ``machine``.
 
     Task times are schedule-local; ``t0`` anchors them on the global
-    clock (which is where ``faults`` epochs are looked up, matching how
-    :meth:`simulate_iteration_at` perturbs the machine).
+    clock, where ``faults`` epochs are looked up — the same lookup
+    :class:`~repro.serving.continuous.IterationCostCache` makes before it
+    prices an iteration on the perturbed machine.
     """
     model = DEFAULT_POWER_MODEL if model is None else model
     if horizon is None:

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.analysis.attribution import (
+    CriticalPath,
+    CriticalSegment,
     analyze_iteration,
     critical_path,
     decompose,
     decompose_spans,
     layer_of,
 )
+from repro.bench.runner import ENGINE_CLASSES, make_engine
 from repro.engine.base import RESOURCES
 from repro.engine.powerinfer import PowerInferEngine
 from repro.hardware.costmodel import COST_COMPONENTS
@@ -23,8 +26,7 @@ def engine(mini_plan):
 
 @pytest.fixture(scope="module")
 def schedule(engine):
-    tasks = engine.iteration_tasks(128, 1, 1)
-    return tasks, EventSimulator(list(RESOURCES)).run(tasks)
+    return engine.simulate_iteration(128, 1, 1)
 
 
 def test_layer_of():
@@ -37,13 +39,13 @@ def test_layer_of():
 
 class TestDecomposition:
     def test_reconciles_with_simulator_busy_time(self, schedule):
-        _, result = schedule
+        result = schedule
         deco = decompose(result)
         assert deco.uncosted == 0.0
         assert deco.reconciliation_error(result.busy_time) <= 1e-6
 
     def test_groupings_agree(self, schedule):
-        _, result = schedule
+        result = schedule
         deco = decompose(result)
         by_dev = deco.totals
         for buckets in (deco.by_tag, deco.by_layer):
@@ -55,14 +57,14 @@ class TestDecomposition:
                 assert agg[name] == pytest.approx(by_dev[name], rel=1e-12, abs=1e-15)
 
     def test_shares_sum_to_one(self, schedule):
-        _, result = schedule
+        result = schedule
         shares = decompose(result).shares()
         assert set(shares) == set(COST_COMPONENTS)
         assert sum(shares.values()) == pytest.approx(1.0)
         assert all(s >= 0.0 for s in shares.values())
 
     def test_as_rows(self, schedule):
-        _, result = schedule
+        result = schedule
         rows = decompose(result).as_rows("device")
         assert {r["device"] for r in rows} >= {"gpu", "cpu"}
         for row in rows:
@@ -88,8 +90,8 @@ class TestDecomposition:
 
 class TestCriticalPath:
     def test_path_spans_makespan_contiguously(self, schedule):
-        tasks, result = schedule
-        cp = critical_path(tasks, result)
+        result = schedule
+        cp = critical_path(result)
         assert cp.segments, "critical path must be non-empty"
         assert cp.segments[0].start == 0.0
         assert cp.segments[0].gate == "start"
@@ -99,15 +101,15 @@ class TestCriticalPath:
         assert cp.length == pytest.approx(result.makespan, rel=1e-9)
 
     def test_gates_classified(self, schedule):
-        tasks, result = schedule
-        cp = critical_path(tasks, result)
+        result = schedule
+        cp = critical_path(result)
         assert all(s.gate in ("start", "dependency", "resource") for s in cp.segments)
         # A multi-layer DAG has at least one true dependency edge on the path.
         assert any(s.gate == "dependency" for s in cp.segments)
 
     def test_slack_zero_on_path_nonnegative_off(self, schedule):
-        tasks, result = schedule
-        cp = critical_path(tasks, result)
+        result = schedule
+        cp = critical_path(result)
         on_path = {s.name for s in cp.segments}
         for name in on_path:
             assert abs(cp.slack[name]) <= 1e-12 * max(result.makespan, 1.0)
@@ -115,14 +117,14 @@ class TestCriticalPath:
             assert slack >= -1e-12 * max(result.makespan, 1.0)
 
     def test_gating_resource(self, schedule):
-        tasks, result = schedule
-        cp = critical_path(tasks, result)
+        result = schedule
+        cp = critical_path(result)
         by_res = cp.time_by_resource()
         assert cp.gating_resource() in RESOURCES
         assert sum(by_res.values()) == pytest.approx(cp.length, rel=1e-12)
 
     def test_empty_schedule(self):
-        cp = critical_path([], EventSimulator(["gpu"]).run([]))
+        cp = critical_path(EventSimulator(["gpu"]).run([]))
         assert cp.segments == []
         assert cp.makespan == 0.0
 
@@ -135,3 +137,78 @@ def test_analyze_iteration_bundle(engine):
         analysis.decomposition.reconciliation_error(analysis.schedule.busy_time)
         <= 1e-6
     )
+
+
+def _reference_critical_path(tasks, result):
+    """Critical path read off the task list handed to the simulator.
+
+    The task-list form ``critical_path`` had before it read the dependency
+    edges the simulator records on each scheduled task.
+    """
+    by_name = {t.name: t for t in tasks}
+    res = result.tasks
+    prev_on_resource = {}
+    succ = {name: [] for name in res}
+    lanes = {}
+    for name, tr in res.items():
+        lanes.setdefault(tr.resource, []).append(name)
+    for names in lanes.values():
+        names.sort(key=lambda n: (res[n].start, res[n].end))
+        for earlier, later in zip(names, names[1:]):
+            prev_on_resource[later] = earlier
+            succ[earlier].append(later)
+    for name in res:
+        for dep in by_name[name].deps:
+            succ[dep].append(name)
+    indegree = {name: 0 for name in res}
+    for children in succ.values():
+        for child in children:
+            indegree[child] += 1
+    frontier = [name for name, deg in indegree.items() if deg == 0]
+    topo = []
+    while frontier:
+        name = frontier.pop()
+        topo.append(name)
+        for child in succ[name]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                frontier.append(child)
+    latest_finish = {name: result.makespan for name in res}
+    for name in reversed(topo):
+        for child in succ[name]:
+            latest_finish[name] = min(
+                latest_finish[name], latest_finish[child] - res[child].duration
+            )
+    slack = {
+        name: (latest_finish[name] - res[name].duration) - res[name].start for name in res
+    }
+    current = max(res.values(), key=lambda tr: (tr.end, tr.start)).name
+    chain = []
+    while current is not None:
+        tr = res[current]
+        gate, nxt = "start", None
+        for dep in by_name[current].deps:
+            if res[dep].end == tr.start:  # repro-lint: disable=float-time-eq -- exact by construction
+                gate, nxt = "dependency", dep
+                break
+        if nxt is None:
+            prev = prev_on_resource.get(current)
+            if prev is not None and res[prev].end == tr.start:  # repro-lint: disable=float-time-eq -- exact by construction
+                gate, nxt = "resource", prev
+        chain.append(CriticalSegment(current, tr.resource, tr.tag, tr.start, tr.end, gate))
+        current = nxt
+    chain.reverse()
+    return CriticalPath(segments=chain, makespan=result.makespan, slack=slack)
+
+
+@pytest.mark.parametrize("ctx_len,n_tokens,batch", [(0, 64, 1), (192, 1, 4)])
+@pytest.mark.parametrize("engine_name", list(ENGINE_CLASSES))
+def test_critical_path_matches_task_list_reference(engine_name, ctx_len, n_tokens, batch):
+    engine = make_engine(engine_name, "opt-6.7b", "pc-low", "int4")
+    tasks = engine.iteration_tasks(engine.machine, ctx_len, n_tokens, batch)
+    result = engine.simulate_iteration(ctx_len, n_tokens, batch)
+    expected = _reference_critical_path(tasks, result)
+    actual = critical_path(result)
+    assert actual.segments == expected.segments
+    assert actual.slack == expected.slack
+    assert actual.makespan == expected.makespan

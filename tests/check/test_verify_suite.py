@@ -59,11 +59,13 @@ class TestEngineValidateHook:
             n: (t.start, t.end) for n, t in plain.tasks.items()
         }
 
-    def test_simulate_iteration_at_forwards_validate(self, engine):
+    def test_faulted_iteration_validates(self, engine):
         faults = FaultSchedule(
             [FaultEvent(FaultKind.PCIE_DEGRADE, start=0.0, duration=10.0, magnitude=4.0)]
         )
-        engine.simulate_iteration_at(1.0, faults, 128, 1, validate=True)
+        engine.simulate_iteration(
+            128, 1, machine=faults.perturbed_machine(engine.machine, 1.0), validate=True
+        )
 
 
 class TestServerValidateHook:

@@ -1,11 +1,13 @@
-"""Tests for the serve/bounds CLI subcommands and example hygiene."""
+"""Tests for the serve/bounds/attribution CLI subcommands and example hygiene."""
 
 import json
 import pathlib
 import py_compile
+import re
 
 import pytest
 
+from repro.analysis.whatif import STANDARD_KNOBS
 from repro.cli import main
 
 EXAMPLES = sorted(
@@ -156,6 +158,29 @@ class TestBoundsCommand:
             ["bounds", "--model", "opt-175b", "--machine", "pc-high", "--dtype", "int4"]
         )
         assert code == 0
+
+
+class TestAttributionCommand:
+    def test_attribution_prints_decomposition_path_and_whatif(self, capsys):
+        code = main(
+            ["attribution", "--model", "opt-6.7b", "--machine", "pc-low", "--dtype", "int4"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        decomposition, whatif = out.split("what-if sensitivity", 1)
+        assert "decode iteration at ctx=128 — seconds by device" in decomposition
+        lines = decomposition.splitlines()
+        header = next(line for line in lines if line.startswith("device"))
+        assert [c.strip() for c in header.split("|")] == [
+            "device", "memory", "compute", "launch", "sync", "transfer", "total"
+        ]
+        devices = {line.split("|")[0].strip() for line in lines if "|" in line}
+        assert devices >= {"cpu", "gpu", "pcie"}
+        path = r"^critical path: \d+ tasks, gating resource (gpu|cpu|pcie) "
+        assert re.search(path, decomposition, re.MULTILINE)
+        knobs = [line.split("|")[0].strip() for line in whatif.splitlines() if "|" in line]
+        assert knobs[0] == "knob"
+        assert sorted(knobs[1:]) == sorted(STANDARD_KNOBS)
 
 
 class TestExamples:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.engine.base import PerfEngine
+from repro.engine.base import PerfEngine, op_task
 from repro.hardware.costmodel import CostModel, OpWork
 from repro.hardware.events import SimTask
+from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
 
 
 class StubEngine(PerfEngine):
@@ -19,11 +20,27 @@ class StubEngine(PerfEngine):
         self.slope = slope
         self.calls: list[tuple[int, int, int]] = []
 
-    def iteration_tasks(self, ctx_len, n_tokens, batch, rng=None):
+    def iteration_tasks(self, machine, ctx_len, n_tokens, batch, rng=None):
         self.calls.append((ctx_len, n_tokens, batch))
         return [
             SimTask("op", "gpu", self.base + self.slope * ctx_len, tag="stub")
         ]
+
+
+class SpyEngine(PerfEngine):
+    """Prices one GPU op on the machine it is handed, checking re-entrancy."""
+
+    name = "spy"
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.seen: list = []
+
+    def iteration_tasks(self, machine, ctx_len, n_tokens, batch, rng=None):
+        # Pricing never swaps the engine's own machine.
+        assert self.machine is self.plan.machine
+        self.seen.append(machine)
+        return [op_task("op", "gpu", machine.gpu, OpWork(bytes_read=1e6))]
 
 
 @pytest.fixture
@@ -61,6 +78,21 @@ class TestRequestAssembly:
         for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
             with pytest.raises(ValueError):
                 stub.simulate_request(*bad)
+
+
+class TestMachineArgument:
+    def test_pricing_leaves_the_engine_machine_alone(self, mini_plan_none):
+        spy = SpyEngine(mini_plan_none)
+        faults = FaultSchedule(
+            [FaultEvent(FaultKind.GPU_THROTTLE, start=0.0, duration=10.0, magnitude=2.0)]
+        )
+        perturbed = faults.perturbed_machine(spy.machine, 1.0)
+        assert perturbed is not spy.machine
+        slow = spy.simulate_iteration(64, 1, machine=perturbed)
+        fast = spy.simulate_iteration(64, 1)
+        assert spy.seen == [perturbed, spy.plan.machine]
+        assert spy.machine is spy.plan.machine
+        assert slow.makespan > fast.makespan
 
 
 class TestSharedCostHelpers:

@@ -46,14 +46,14 @@ class TestLayerSplit:
 class TestLlamaCpp:
     def test_dense_dag_has_one_op_per_layer(self, mini_plan_none):
         engine = LlamaCppEngine(mini_plan_none)
-        tasks = engine.iteration_tasks(0, 1, 1)
+        tasks = engine.iteration_tasks(engine.machine, 0, 1, 1)
         layer_ops = [t for t in tasks if t.name.startswith("L")]
         assert len(layer_ops) == mini_plan_none.model.n_layers
 
     def test_single_hidden_transfer(self, mini_plan_none):
         engine = LlamaCppEngine(mini_plan_none)
         if 0 < engine.gpu_layer_count() < mini_plan_none.model.n_layers:
-            tasks = engine.iteration_tasks(0, 1, 1)
+            tasks = engine.iteration_tasks(engine.machine, 0, 1, 1)
             transfers = [t for t in tasks if t.tag == "transfer"]
             assert len(transfers) == 1
 
@@ -65,7 +65,7 @@ class TestLlamaCpp:
 class TestFlexGen:
     def test_streams_nonresident_layers(self, mini_plan_none):
         engine = FlexGenEngine(mini_plan_none)
-        tasks = engine.iteration_tasks(0, 1, 1)
+        tasks = engine.iteration_tasks(engine.machine, 0, 1, 1)
         streams = [t for t in tasks if t.tag == "transfer"]
         expected = mini_plan_none.model.n_layers - engine.gpu_layer_count()
         assert len(streams) == expected
@@ -82,7 +82,7 @@ class TestFlexGen:
 class TestDejaVuUm:
     def test_um_fetches_only_active_bytes(self, mini_plan_none):
         engine = DejaVuUmEngine(mini_plan_none)
-        tasks = engine.iteration_tasks(0, 1, 1)
+        tasks = engine.iteration_tasks(engine.machine, 0, 1, 1)
         fetches = [t for t in tasks if "um_fetch" in t.name]
         assert fetches, "non-resident layers must fetch via UM"
         # A UM fetch of active neurons must be far cheaper in bytes than a
@@ -129,7 +129,7 @@ class TestLayerwiseSparse:
 
     def test_predictors_run_on_each_layers_device(self, mini_plan_none):
         engine = LayerwiseSparseEngine(mini_plan_none)
-        tasks = {t.name: t for t in engine.iteration_tasks(0, 1, 1)}
+        tasks = {t.name: t for t in engine.iteration_tasks(engine.machine, 0, 1, 1)}
         n_gpu = engine.gpu_layer_count()
         n_cpu = mini_plan_none.model.n_layers - n_gpu
         if n_cpu:

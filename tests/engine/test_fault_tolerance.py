@@ -9,7 +9,7 @@ import pytest
 
 from repro.engine.powerinfer import PowerInferEngine
 from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.serving import Request, simulate_continuous_serving
+from repro.serving import ContinuousServer, Request, simulate_continuous_serving
 from repro.serving.continuous import IterationCostCache
 
 BUDGET = 256 * 2**20
@@ -221,6 +221,22 @@ class TestKvShrinkDegradation:
     def test_degraded_run_is_deterministic(self, engine):
         assert self.run(engine, degradation=True) == self.run(
             engine, degradation=True
+        )
+
+    def test_replan_keeps_engine_settings(self, mini_plan):
+        engine = PowerInferEngine(mini_plan, selective_sync=False)
+        server = ContinuousServer(
+            engine, kv_budget_bytes=2 * engine.request_kv_bytes(16, 32), faults=self.FAULTS
+        )
+        degraded, _, freed = server._degraded_runtime()
+        assert freed > 0.0 and degraded.plan is not mini_plan
+        assert degraded.selective_sync is False
+        assert engine.plan is mini_plan  # the pristine engine is untouched
+        # Priced exactly as a fresh engine with the same settings would be.
+        same = PowerInferEngine(degraded.plan, selective_sync=False)
+        assert (
+            degraded.simulate_iteration(128, 1).makespan
+            == same.simulate_iteration(128, 1).makespan
         )
 
     def test_with_gpu_bytes_freed_plan_properties(self, mini_plan):

@@ -13,7 +13,7 @@ def engine(mini_plan):
 
 class TestDagStructure:
     def test_tasks_cover_all_layers(self, engine, mini_plan):
-        tasks = engine.iteration_tasks(ctx_len=16, n_tokens=1, batch=1)
+        tasks = engine.iteration_tasks(engine.machine, ctx_len=16, n_tokens=1, batch=1)
         names = {t.name for t in tasks}
         for li in range(mini_plan.model.n_layers):
             assert f"L{li}.pred_mlp" in names
@@ -34,21 +34,21 @@ class TestDagStructure:
         plan.mlp_gpu_masks = [np.ones_like(m) for m in mini_plan.mlp_gpu_masks]
         plan.attn_gpu_masks = [np.ones_like(m) for m in mini_plan.attn_gpu_masks]
         engine = PowerInferEngine(plan)
-        names = {t.name for t in engine.iteration_tasks(0, 1, 1)}
+        names = {t.name for t in engine.iteration_tasks(engine.machine, 0, 1, 1)}
         assert not any(".mlp_cpu" in n or ".mlp_xfer" in n for n in names)
 
     def test_cpu_tasks_present_with_split(self, engine):
-        names = {t.name for t in engine.iteration_tasks(0, 1, 1)}
+        names = {t.name for t in engine.iteration_tasks(engine.machine, 0, 1, 1)}
         assert any(".mlp_cpu" in n for n in names)
 
     def test_predictors_run_on_gpu(self, engine):
-        tasks = engine.iteration_tasks(0, 1, 1)
+        tasks = engine.iteration_tasks(engine.machine, 0, 1, 1)
         for task in tasks:
             if "pred" in task.name:
                 assert task.resource == "gpu"
 
     def test_transfers_on_pcie(self, engine):
-        tasks = engine.iteration_tasks(0, 1, 1)
+        tasks = engine.iteration_tasks(engine.machine, 0, 1, 1)
         for task in tasks:
             if task.tag == "transfer":
                 assert task.resource == "pcie"

@@ -18,12 +18,12 @@ class TestSelectiveSyncFlag:
 
     def test_selective_sync_elides_transfers_when_gpu_resident(self, all_gpu_plan):
         on = PowerInferEngine(all_gpu_plan, selective_sync=True)
-        names_on = {t.name for t in on.iteration_tasks(0, 1, 1)}
+        names_on = {t.name for t in on.iteration_tasks(on.machine, 0, 1, 1)}
         assert not any(".mlp_xfer" in n for n in names_on)
 
     def test_disabled_selective_sync_always_pays(self, all_gpu_plan):
         off = PowerInferEngine(all_gpu_plan, selective_sync=False)
-        names_off = {t.name for t in off.iteration_tasks(0, 1, 1)}
+        names_off = {t.name for t in off.iteration_tasks(off.machine, 0, 1, 1)}
         assert any(".mlp_xfer" in n for n in names_off)
         assert any(".mlp_cpu" in n for n in names_off)
 

@@ -69,15 +69,22 @@ class TestScheduling:
         result = simulate([SimTask("a", "r", 2.0), SimTask("b", "r", 2.0)])
         assert result.makespan == pytest.approx(4.0)
 
-    def test_priority_breaks_ties(self):
+    def test_equal_time_ties_start_in_insertion_order(self):
+        # Three tasks on one resource all become ready at t=1 when "gate"
+        # finishes; they start in the order they were listed.
         result = simulate(
             [
-                SimTask("late", "r", 1.0, priority=5),
-                SimTask("early", "r", 1.0, priority=1),
+                SimTask("gate", "x", 1.0),
+                SimTask("c", "r", 1.0, deps=("gate",)),
+                SimTask("a", "r", 1.0, deps=("gate",)),
+                SimTask("b", "r", 1.0, deps=("gate",)),
+                SimTask("z", "r", 1.0),
+                SimTask("y", "r", 1.0),
             ]
         )
-        assert result.tasks["early"].start == 0.0
-        assert result.tasks["late"].start == pytest.approx(1.0)
+        starts = {name: t.start for name, t in result.tasks.items()}
+        assert (starts["z"], starts["y"]) == (0.0, 1.0)
+        assert (starts["c"], starts["a"], starts["b"]) == (2.0, 3.0, 4.0)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

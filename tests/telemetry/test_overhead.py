@@ -13,6 +13,7 @@ import pytest
 from repro.engine.base import RESOURCES
 from repro.engine.powerinfer import PowerInferEngine
 from repro.hardware.events import EventSimulator
+from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.telemetry import NullTracer, Tracer
 
 OVERHEAD_BOUND = 1.02
@@ -40,10 +41,20 @@ class TestBitIdentical:
         assert len(tracer.task_spans) == len(base.tasks)
         assert min(s.start for s in tracer.task_spans) >= 5.0
 
-    def test_simulate_iteration_at_traces_at_now(self, engine):
+    def test_faulted_iteration_traces_at_t0(self, engine):
+        faults = FaultSchedule(
+            [FaultEvent(FaultKind.PCIE_DEGRADE, start=0.0, duration=10.0, magnitude=4.0)]
+        )
         tracer = Tracer()
-        engine.simulate_iteration_at(2.5, None, 64, 1, 1, tracer=tracer)
-        assert tracer.task_spans
+        result = engine.simulate_iteration(
+            64,
+            1,
+            1,
+            machine=faults.perturbed_machine(engine.machine, 2.5),
+            tracer=tracer,
+            trace_t0=2.5,
+        )
+        assert len(tracer.task_spans) == len(result.tasks)
         assert min(s.start for s in tracer.task_spans) >= 2.5
 
 
@@ -71,7 +82,9 @@ class TestOverhead:
             engine.simulate_iteration(64, 1, 2)
 
         def raw():
-            EventSimulator(list(RESOURCES)).run(engine.iteration_tasks(64, 1, 2))
+            EventSimulator(list(RESOURCES)).run(
+                engine.iteration_tasks(engine.machine, 64, 1, 2)
+            )
 
         wrapped()  # warm caches before timing
         raw()

@@ -96,6 +96,29 @@ class TestBatchedServing:
         self._serve(engine, null)
         assert len(null) == 0
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_each_distinct_iteration_priced_once(self, mini_plan, traced):
+        engine = PowerInferEngine(mini_plan)
+        priced = []
+        simulate = engine.simulate_iteration
+
+        def spy(*args, **kwargs):
+            priced.append(args)
+            return simulate(*args, **kwargs)
+
+        engine.simulate_iteration = spy
+        server = ContinuousServer(
+            engine,
+            policy="static",
+            kv_budget_bytes=256 * 2**20,
+            tracer=Tracer() if traced else None,
+        )
+        server.run(self._requests())
+        assert len(priced) == len(server.costs) > 0
+        # A traced session replays the schedules its misses priced; an
+        # untraced one keeps makespans only.
+        assert len(server.costs._schedules) == (len(server.costs) if traced else 0)
+
 
 class TestSpeculative:
     @pytest.fixture(scope="class")
