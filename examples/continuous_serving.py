@@ -26,8 +26,8 @@ from repro.bench.runner import make_engine
 from repro.serving import (
     SLO,
     ContinuousServer,
+    make_policy,
     poisson_arrivals,
-    simulate_continuous_serving,
 )
 from repro.workloads import CHATGPT_PROMPTS
 
@@ -84,11 +84,14 @@ def main() -> None:
     print("\nIteration policies (same stream, max_batch=8):")
     print(f"{'policy':>14} | {'mean lat':>8} | {'TTFT p99':>8} | {'TBT p99':>8}")
     print("-" * 50)
-    for policy in ("fcfs", "prefill-first", "chunked"):
-        rep = simulate_continuous_serving(
-            engine, requests, policy=policy, max_batch=8, max_prefill_tokens=32
-        )
-        print(f"{policy:>14} | {rep.mean_latency:>6.1f} s | "
+    policies = {
+        "fcfs": make_policy("fcfs"),
+        "prefill-first": make_policy("prefill-first"),
+        "chunked": make_policy("chunked", max_prefill_tokens=32),
+    }
+    for name, policy in policies.items():
+        rep = ContinuousServer(engine, policy=policy, max_batch=8).run(requests)
+        print(f"{name:>14} | {rep.mean_latency:>6.1f} s | "
               f"{rep.ttft_percentile(99):>6.2f} s | "
               f"{rep.tbt_percentile(99) * 1e3:>5.0f} ms")
 

@@ -151,7 +151,7 @@ def run_suite(quick: bool = False) -> dict:
         SEED,
     )
     from repro.bench.fault_tolerance import DTYPE as FT_DTYPE
-    from repro.serving import poisson_arrivals, simulate_continuous_serving
+    from repro.serving import ContinuousServer, make_policy, poisson_arrivals
     from repro.workloads import CHATGPT_PROMPTS
 
     engine = make_engine("powerinfer", MODEL, MACHINE, FT_DTYPE)
@@ -163,14 +163,12 @@ def run_suite(quick: bool = False) -> dict:
         deadline=DEADLINE_S,
     )
     t0 = time.perf_counter()  # repro-lint: disable=wall-clock -- measures simulator throughput, not model time
-    report = simulate_continuous_serving(
+    report = ContinuousServer(
         engine,
-        requests,
-        policy="chunked",
+        policy=make_policy("chunked", max_prefill_tokens=32),
         max_batch=MAX_BATCH,
         kv_budget_bytes=KV_BUDGET_BYTES,
-        max_prefill_tokens=32,
-    )
+    ).run(requests)
     serving_wall_s = time.perf_counter() - t0  # repro-lint: disable=wall-clock -- measures simulator throughput, not model time
     metrics["simperf/serving_iterations_per_s"] = _metric(
         report.n_iterations / max(serving_wall_s, 1e-9),

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.bench.runner import make_engine
 from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.serving import SLO, poisson_arrivals, simulate_continuous_serving
+from repro.serving import SLO, ContinuousServer, make_policy, poisson_arrivals
 from repro.workloads import CHATGPT_PROMPTS
 
 __all__ = ["default_fault_schedule", "run_fault_tolerance", "DEFAULT_SLO"]
@@ -66,18 +66,16 @@ def default_fault_schedule() -> FaultSchedule:
 
 
 def _serve(engine, requests, faults, degradation: bool):
-    return simulate_continuous_serving(
+    return ContinuousServer(
         engine,
-        requests,
-        policy="chunked",
+        policy=make_policy("chunked", max_prefill_tokens=32),
         max_batch=MAX_BATCH,
         kv_budget_bytes=KV_BUDGET_BYTES,
-        max_prefill_tokens=32,
         faults=faults,
         max_retries=MAX_RETRIES,
         max_queue=MAX_QUEUE,
         degradation=degradation,
-    )
+    ).run(requests)
 
 
 def _row(server: str, faults_label: str, report) -> dict:

@@ -174,7 +174,6 @@ def build_fleet(
         failover=failover,
         disaggregate=disaggregate,
         hedge=hedge,
-        hedge_deadline_s=DEADLINE_S if hedge else None,
         brownout=brownout,
     )
     return FleetRouter(replicas, config=config, tracer=tracer)

@@ -727,6 +727,11 @@ def _write_trace(args: argparse.Namespace, tracer, report, title: str) -> None: 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
+    for flag, value in (("--requests", args.requests), ("--sessions", args.sessions)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be >= 1", file=sys.stderr)
+            return 1
+
     from repro.bench.fleet_chaos import (
         DEFAULT_SLO,
         build_fleet,
@@ -759,9 +764,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     fleet_joules = None
     if deep:
-        from repro.telemetry.power import fleet_energy, fleet_generated_tokens
+        from repro.telemetry.power import (
+            fleet_energy,
+            fleet_generated_tokens,
+            sample_fleet_power,
+        )
 
+        # One metering pass feeds the verdict, the summary and the watt
+        # lanes, which must be sampled before any export.
         fleet_joules = fleet_energy(result, tracer)
+        sample_fleet_power(tracer, fleet_joules)
         energy_violations = validate_fleet_energy(fleet_joules)
         violations += energy_violations
         tokens = fleet_generated_tokens(result)

@@ -373,13 +373,10 @@ class FaultSchedule:
         Args:
             seed: RNG seed.
             horizon: Timeline length; events start within ``[0, horizon)``.
-            n_events: Number of events to draw.  Defaults to the
+            n_events: Number of events to draw.
+            kinds: Fault kinds to draw from (uniformly).  Defaults to the
                 machine-level kinds; pass ``FaultKind.FLEET`` (or
-                ``FaultKind.ALL``) to draw replica-lifecycle events too —
-                though :meth:`from_seed_replica` is the better generator
-                for crash/recover timelines (it pairs them and respects
-                an MTBF/MTTR).
-            kinds: Fault kinds to draw from (uniformly).
+                ``FaultKind.ALL``) to draw replica-lifecycle events too.
             max_magnitude: Worst slowdown divisor for degradations; KV
                 shrink draws its remaining fraction from ``[1/max, 1)``.
         """
@@ -409,78 +406,6 @@ class FaultSchedule:
             events.append(
                 FaultEvent(kind=kind, start=start, duration=duration, magnitude=magnitude)
             )
-        return cls(events)
-
-    @classmethod
-    def from_seed_replica(
-        cls,
-        seed: int,
-        horizon: Seconds,
-        mtbf: Seconds,
-        mttr: Seconds,
-        recover_fraction: Ratio = 0.5,
-        recover_slowdown: Ratio = 2.0,
-        first_crash_after: Seconds = 0.0,
-    ) -> "FaultSchedule":
-        """Generate a deterministic replica crash/recover lifecycle.
-
-        Crash arrivals follow an exponential inter-failure distribution
-        with mean ``mtbf`` (measured from the previous recovery) and each
-        outage lasts an exponential draw with mean ``mttr``.  Every crash
-        is followed by a ``replica-recover`` warm-up window of
-        ``recover_fraction * outage`` at slowdown ``recover_slowdown``.
-        Windows never overlap by construction and the timeline stops at
-        ``horizon``.  The same arguments always yield the same schedule.
-
-        Args:
-            seed: RNG seed.
-            horizon: Timeline length; no window starts at or past it.
-            mtbf: Mean time between failures (uptime between outages), s.
-            mttr: Mean time to recovery (outage length), s.
-            recover_fraction: Warm-up length as a fraction of the outage
-                it follows (``0`` disables recover windows).
-            recover_slowdown: Throughput divisor during warm-up (``>= 1``).
-            first_crash_after: Earliest instant the first crash may start
-                (lets callers guarantee a healthy start-up phase).
-        """
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if mtbf <= 0 or mttr <= 0:
-            raise ValueError("mtbf and mttr must be positive")
-        if not 0.0 <= recover_fraction <= 1.0:
-            raise ValueError("recover_fraction must be in [0, 1]")
-        if recover_slowdown < 1.0:
-            raise ValueError("recover_slowdown is a slowdown divisor (>= 1)")
-        if first_crash_after < 0:
-            raise ValueError("first_crash_after must be non-negative")
-        rng = np.random.default_rng(seed)
-        events = []
-        t = first_crash_after
-        while True:
-            start = t + float(rng.exponential(mtbf))
-            if start >= horizon:
-                break
-            outage = max(float(rng.exponential(mttr)), 1e-6)
-            events.append(
-                FaultEvent(
-                    kind=FaultKind.REPLICA_CRASH,
-                    start=start,
-                    duration=outage,
-                    magnitude=1.0,
-                )
-            )
-            t = start + outage
-            if recover_fraction > 0.0:
-                warmup = recover_fraction * outage
-                events.append(
-                    FaultEvent(
-                        kind=FaultKind.REPLICA_RECOVER,
-                        start=t,
-                        duration=warmup,
-                        magnitude=recover_slowdown,
-                    )
-                )
-                t += warmup
         return cls(events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

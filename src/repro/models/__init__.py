@@ -14,7 +14,6 @@ from repro.models.config import (
     tiny_config,
 )
 from repro.models.kvcache import KVCache
-from repro.models.tokenizer import ToyTokenizer
 from repro.models.transformer import Transformer, mlp_activation_mask, softmax
 from repro.models.weights import LayerWeights, ModelWeights, init_weights
 
@@ -32,7 +31,6 @@ __all__ = [
     "OPT_30B",
     "OPT_66B",
     "OPT_6_7B",
-    "ToyTokenizer",
     "Transformer",
     "init_weights",
     "mlp_activation_mask",

@@ -1,12 +1,6 @@
 """Operators: dense baseline, neuron-aware sparse, generic sparse baselines."""
 
 from repro.operators.dense import dense_gemv, dense_gemv_work
-from repro.operators.registry import (
-    OPERATOR_REGISTRY,
-    OperatorSpec,
-    get_operator,
-    list_operators,
-)
 from repro.operators.neuron_aware import (
     CpuNeuronGemv,
     gather_cols_gemv,
@@ -25,10 +19,6 @@ from repro.operators.sparse_baselines import (
 
 __all__ = [
     "CpuNeuronGemv",
-    "OPERATOR_REGISTRY",
-    "OperatorSpec",
-    "get_operator",
-    "list_operators",
     "CsrMatrix",
     "csr_from_row_sparse",
     "csr_spmv",

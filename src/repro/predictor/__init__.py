@@ -7,7 +7,6 @@ from repro.predictor.adaptive import (
     modeled_predictor_bytes,
     modeled_predictor_params,
 )
-from repro.predictor.io import load_predictors, save_predictors
 from repro.predictor.mlp import MlpPredictor, PredictorMetrics
 from repro.predictor.training import collect_training_data, synthesize_training_data
 
@@ -18,8 +17,6 @@ __all__ = [
     "adaptive_train",
     "baseline_hidden_size",
     "collect_training_data",
-    "load_predictors",
-    "save_predictors",
     "modeled_predictor_bytes",
     "modeled_predictor_params",
     "synthesize_training_data",

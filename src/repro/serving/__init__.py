@@ -7,7 +7,6 @@ from repro.serving.continuous import (
     RequestState,
     ServerSession,
     retry_delay,
-    simulate_continuous_serving,
 )
 from repro.serving.fleet import (
     FleetConfig,
@@ -64,5 +63,4 @@ __all__ = [
     "merge_busy_intervals",
     "percentile",
     "poisson_arrivals",
-    "simulate_continuous_serving",
 ]

@@ -60,8 +60,6 @@ from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.check.schedule import KVEvent, require_valid, validate_server_run
 from repro.engine.base import PerfEngine
 from repro.hardware.events import ScheduleResult
@@ -70,7 +68,7 @@ from repro.hardware.memory import MemoryPool, OutOfMemoryError
 from repro.serving.arrival import Request
 from repro.serving.metrics import ContinuousReport, RequestMetrics
 from repro.serving.policies import SchedulerPolicy, make_policy
-from repro.units import Bytes, Ratio, Seconds
+from repro.units import Bytes, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.telemetry.fleet import TraceContext
@@ -81,46 +79,30 @@ __all__ = [
     "IterationCostCache",
     "ServerSession",
     "ContinuousServer",
+    "RETRY_BACKOFF_S",
     "retry_delay",
-    "simulate_continuous_serving",
 ]
 
+# Base of the exponential backoff before a retried request may be
+# re-admitted (server) or re-dispatched (fleet router).
+RETRY_BACKOFF_S: Seconds = 0.05
 
-def retry_delay(
-    base: Seconds,
-    attempt: int,
-    jitter: Ratio = 0.0,
-    rng: np.random.Generator | None = None,
-    cap: Seconds | None = None,
-) -> Seconds:
-    """Bounded exponential backoff with optional seeded jitter.
+
+def retry_delay(attempt: int, cap: Seconds | None = None) -> Seconds:
+    """Bounded exponential backoff: ``RETRY_BACKOFF_S * 2 ** (attempt - 1)``.
 
     The one retry-delay code path shared by the single-replica server and
-    the fleet router, so both back off identically.  The deterministic
-    part is ``base * 2 ** (attempt - 1)``, optionally clamped at ``cap``;
-    with ``jitter > 0`` a uniform fraction of the (clamped) delay — up to
-    ``jitter`` of it, drawn from ``rng`` — is added on top.
-
-    With ``jitter == 0`` (the default) no random number is consumed and
-    the result is bit-identical to the classic un-jittered schedule.
+    the fleet router, so both back off identically; ``cap`` clamps the
+    delay when given.
 
     Raises:
-        ValueError: On ``attempt < 1``, a negative ``jitter``, or
-            ``jitter > 0`` without a generator (jitter must come from a
-            *seeded* stream — an implicit global RNG would break run
-            determinism).
+        ValueError: On ``attempt < 1``.
     """
     if attempt < 1:
         raise ValueError("attempt numbers start at 1")
-    if jitter < 0:
-        raise ValueError("jitter must be non-negative")
-    delay = base * 2 ** (attempt - 1)
+    delay = RETRY_BACKOFF_S * 2 ** (attempt - 1)
     if cap is not None:
         delay = min(delay, cap)
-    if jitter > 0.0:
-        if rng is None:
-            raise ValueError("retry jitter requires a seeded generator")
-        delay += delay * jitter * float(rng.uniform())
     return delay
 
 
@@ -310,11 +292,6 @@ class ServerSession:
         # yet.  Iterations and stalls are atomic and ignore the cap, same
         # as the monolithic loop.  None = unbounded.
         self.time_cap: Seconds | None = None
-        # Seeded jitter stream (None when retry_jitter == 0: the classic
-        # schedule consumes no randomness and stays bit-identical).
-        self.rng = (
-            np.random.default_rng(server.seed) if server.retry_jitter > 0.0 else None
-        )
         tracer = server.tracer
         self.tracer = tracer
         self.tracing = tracer is not None and tracer.enabled
@@ -572,8 +549,8 @@ class ServerSession:
 
         A retried request restarts from scratch (its partial stream is
         lost) and becomes eligible for re-admission after an exponential
-        backoff (jittered when the server was configured with
-        ``retry_jitter``); a request out of retries is recorded as failed.
+        backoff (:func:`retry_delay`); a request out of retries is
+        recorded as failed.
         ``at`` is the abort instant on the traced timeline (defaults to
         ``resume_at`` — the stall end — when not given).
         """
@@ -604,9 +581,7 @@ class ServerSession:
                     self.tracer.metrics.counter("failed").inc()
             else:
                 self.report.n_retries += 1
-                ready = resume_at + retry_delay(
-                    server.retry_backoff, attempt, server.retry_jitter, self.rng
-                )
+                ready = resume_at + retry_delay(attempt)
                 heapq.heappush(self.retry_heap, (ready, rid, state.request))
                 if self.tracing:
                     self.tracer.metrics.counter("retries").inc()
@@ -751,7 +726,7 @@ class ServerSession:
         if server.degradation and throughput_fault:
             # Brownout: keep the batch small while the machine is slow
             # so in-flight streams keep their token cadence.
-            batch_cap = min(batch_cap, server.degraded_max_batch)
+            batch_cap = max(1, batch_cap // 4)
             degraded_now = True
 
         self._admit(batch_cap, effective_budget)
@@ -985,26 +960,16 @@ class ContinuousServer:
             arrival) applied when a request carries none.  ``None``
             disables deadline enforcement for such requests.
         max_retries: How many times a stall-aborted request is re-queued
-            before being recorded as failed.
-        retry_backoff: Base of the exponential backoff between an abort
-            and the retry's earliest re-admission (doubles per attempt).
-        retry_jitter: Jitter fraction added to each backoff delay — up to
-            ``retry_jitter`` of the deterministic delay, drawn from the
-            run's seeded generator (see :func:`retry_delay`).  ``0.0``
-            (default) consumes no randomness and reproduces the classic
-            schedule bit-identically.
-        seed: Seed for the run's jitter stream; required when
-            ``retry_jitter > 0`` (an unseeded stream would break run
-            determinism).
+            (after :func:`retry_delay` backoff) before being recorded as
+            failed.
         max_queue: Bound on the admission queue; arrivals beyond it are
             shed (``None`` disables load shedding).
         degradation: Enables graceful degradation — the fault-adaptive
-            batch cap and the KV-shrink hot-neuron re-plan.  With
+            batch cap (``max(1, max_batch // 4)`` while a throughput fault
+            is active) and the KV-shrink hot-neuron re-plan.  With
             ``False`` the server still *suffers* every fault (perturbed
             costs, stalls, shrunken budget) but does not adapt; the chaos
             benchmark compares the two.
-        degraded_max_batch: Batch cap while a throughput fault is active
-            (defaults to ``max(1, max_batch // 4)``).
         tracer: Optional :class:`~repro.telemetry.tracer.Tracer` recording
             device task spans, request lifecycle spans/events, iteration
             and degraded-mode regions, fault annotations, and counter
@@ -1030,12 +995,8 @@ class ContinuousServer:
         faults: FaultSchedule | None = None,
         deadline: Seconds | None = None,
         max_retries: int = 2,
-        retry_backoff: Seconds = 0.05,
-        retry_jitter: Ratio = 0.0,
-        seed: int | None = None,
         max_queue: int | None = None,
         degradation: bool = True,
-        degraded_max_batch: int | None = None,
         tracer: "Tracer | None" = None,
         validate: bool = False,
     ) -> None:
@@ -1045,16 +1006,8 @@ class ContinuousServer:
             raise ValueError("deadline must be positive (or None)")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if retry_backoff <= 0:
-            raise ValueError("retry_backoff must be positive")
-        if retry_jitter < 0:
-            raise ValueError("retry_jitter must be non-negative")
-        if retry_jitter > 0 and seed is None:
-            raise ValueError("retry_jitter > 0 requires a seed (determinism)")
         if max_queue is not None and max_queue < 1:
             raise ValueError("max_queue must be >= 1 (or None)")
-        if degraded_max_batch is not None and degraded_max_batch < 1:
-            raise ValueError("degraded_max_batch must be >= 1 (or None)")
         self.engine = engine
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.max_batch = max_batch
@@ -1068,14 +1021,8 @@ class ContinuousServer:
         self.faults = faults
         self.deadline = deadline
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.retry_jitter = retry_jitter
-        self.seed = seed
         self.max_queue = max_queue
         self.degradation = degradation
-        self.degraded_max_batch = (
-            degraded_max_batch if degraded_max_batch is not None else max(1, max_batch // 4)
-        )
         self.tracer = tracer
         self.validate = validate
         self.costs = IterationCostCache(engine, ctx_bucket, faults=faults)
@@ -1146,37 +1093,3 @@ class ContinuousServer:
                 "fit the remaining KV budget"
             )
         return session.finish()
-
-
-def simulate_continuous_serving(
-    engine: PerfEngine,
-    requests: list[Request],
-    policy: SchedulerPolicy | str = "fcfs",
-    max_batch: int = 8,
-    kv_budget_bytes: Bytes | None = None,
-    max_prefill_tokens: int = 64,
-    ctx_bucket: int = 32,
-    **robustness,
-) -> ContinuousReport:
-    """Serve ``requests`` with continuous batching; returns the report.
-
-    Convenience wrapper over :class:`ContinuousServer`.  ``policy`` is a
-    preset name (``"fcfs"``, ``"prefill-first"``, ``"chunked"``,
-    ``"static"``) or a :class:`SchedulerPolicy` instance; ``max_prefill_tokens`` only applies
-    to the chunked policy.  Extra keyword arguments (``faults``,
-    ``deadline``, ``max_retries``, ``retry_backoff``, ``retry_jitter``,
-    ``seed``, ``max_queue``, ``degradation``, ``degraded_max_batch``,
-    ``tracer``, ``validate``) pass through to the server.
-    """
-    if isinstance(policy, str):
-        kwargs = {"max_prefill_tokens": max_prefill_tokens} if policy == "chunked" else {}
-        policy = make_policy(policy, **kwargs)
-    server = ContinuousServer(
-        engine,
-        policy=policy,
-        max_batch=max_batch,
-        kv_budget_bytes=kv_budget_bytes,
-        ctx_bucket=ctx_bucket,
-        **robustness,
-    )
-    return server.run(requests)

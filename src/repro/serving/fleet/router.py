@@ -25,14 +25,13 @@ Resilience mechanisms (all deterministic, all on the simulated clock):
   than the detection window are never noticed (and never drained).
 * **Failover** — marking a replica down drains its undelivered requests
   and re-dispatches each to a surviving replica with bounded exponential
-  backoff (+ optional seeded jitter).  In-progress KV is lost at the
-  crash (the replica's own stall machinery freed it); the request
-  replays *from its last completed token*: the replacement segment
-  re-prefills prompt + delivered tokens and generates only the rest, so
-  the work and KV are re-priced honestly.
-* **Hedged dispatch** — deadline-critical requests (deadline at or under
-  the hedge threshold) are dispatched to two replicas; the first token
-  wins and the loser is cancelled (its KV reservation released).
+  backoff.  In-progress KV is lost at the crash (the replica's own stall
+  machinery freed it); the request replays *from its last completed
+  token*: the replacement segment re-prefills prompt + delivered tokens
+  and generates only the rest, so the work and KV are re-priced honestly.
+* **Hedged dispatch** — every request that carries a deadline is
+  dispatched to two replicas; the first token wins and the loser is
+  cancelled (its KV reservation released).
 * **Brownout** — while any replica is detected down, arrivals below the
   priority floor are shed at the router, protecting the SLO of the
   higher classes on the surviving capacity.
@@ -47,9 +46,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from repro.engine.base import transfer_task
 from repro.hardware.events import ScheduleResult, TaskResult
@@ -60,7 +57,7 @@ from repro.serving.fleet.policies import RouterPolicy, make_router_policy
 from repro.serving.fleet.replica import Replica
 from repro.serving.fleet.report import FleetResult, ReplicaSummary
 from repro.serving.metrics import ContinuousReport, RequestMetrics
-from repro.units import Ratio, Seconds
+from repro.units import Seconds
 
 from typing import TYPE_CHECKING
 
@@ -71,22 +68,29 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = ["FleetConfig", "FleetRouter", "detect_windows"]
 
 
-def _default_interconnect() -> LinkSpec:
-    # A datacenter-ish 25 GB/s link: far faster than token emission but
-    # slow enough that multi-MB KV transfers are visible in the timeline.
-    return LinkSpec(name="fleet-net", bandwidth=25 * GB, latency=25e-6)
+# Heartbeat grid spacing, and the silence tolerated before a replica is
+# marked down (a crash shorter than roughly this goes unnoticed).
+HEARTBEAT_S: Seconds = 0.25
+DETECTION_WINDOW_S: Seconds = 0.75
+# Router-level re-dispatch budget per request (beyond it the request is
+# failed), and the cap on the re-dispatch backoff (see retry_delay).
+MAX_REDISPATCH = 2
+BACKOFF_CAP_S: Seconds = 2.0
+# During brownout, arrivals with a priority strictly below this are shed.
+BROWNOUT_MIN_PRIORITY = 1
+# The fleet KV-transfer link.  A datacenter-ish 25 GB/s link: far faster
+# than token emission but slow enough that multi-MB KV transfers are
+# visible in the timeline.
+INTERCONNECT = LinkSpec(name="fleet-net", bandwidth=25 * GB, latency=25e-6)
 
 
 @dataclass
 class FleetConfig:
-    """Router behaviour knobs (all simulated-time, all deterministic).
+    """Router behaviour switches (all simulated-time, all deterministic).
 
     Attributes:
         policy: Dispatch policy name (see
             :data:`~repro.serving.fleet.policies.ROUTER_POLICIES`).
-        heartbeat_s: Heartbeat grid spacing.
-        detection_window_s: Silence tolerated before a replica is marked
-            down (a crash shorter than roughly this goes unnoticed).
         failover: Drain + re-dispatch detected-down replicas and route
             new work around them.  ``False`` disables the health
             *reaction* entirely — the router keeps dispatching to dead
@@ -94,63 +98,24 @@ class FleetConfig:
             replica's own local retries — the ablation the chaos
             benchmark contrasts against.  (Detection still runs either
             way, for availability accounting.)
-        max_redispatch: Router-level re-dispatch budget per request
-            (beyond it the request is failed).
-        retry_backoff_s: Base of the router's exponential re-dispatch
-            backoff (doubles per attempt).
-        backoff_cap_s: Upper bound on the deterministic backoff part.
-        retry_jitter: Jitter fraction on the backoff (see
-            :func:`repro.serving.continuous.retry_delay`); requires
-            ``seed``.
-        seed: Seed of the router's jitter stream.
-        hedge: Duplicate deadline-critical dispatches onto two replicas.
-        hedge_deadline_s: Requests with a deadline at or under this are
-            hedge-eligible (required when ``hedge`` is on).
-        brownout: Shed low-priority arrivals while capacity is degraded.
-        brownout_min_priority: Arrivals with ``priority`` strictly below
-            this are shed during brownout.
+        hedge: Dispatch every request that carries a deadline onto two
+            replicas.
+        brownout: Shed arrivals below :data:`BROWNOUT_MIN_PRIORITY` while
+            any replica is detected down.
         disaggregate: Split requests into a prefill stage and a decode
-            stage on different replicas with a modeled KV transfer.
-        interconnect: The fleet KV-transfer link.
+            stage on different replicas with a KV transfer over
+            :data:`INTERCONNECT`.
     """
 
     policy: str = "round-robin"
-    heartbeat_s: Seconds = 0.25
-    detection_window_s: Seconds = 0.75
     failover: bool = True
-    max_redispatch: int = 2
-    retry_backoff_s: Seconds = 0.05
-    backoff_cap_s: Seconds | None = 2.0
-    retry_jitter: Ratio = 0.0
-    seed: int | None = None
     hedge: bool = False
-    hedge_deadline_s: Seconds | None = None
     brownout: bool = False
-    brownout_min_priority: int = 1
     disaggregate: bool = False
-    interconnect: LinkSpec = field(default_factory=_default_interconnect)
 
     def __post_init__(self) -> None:
-        if self.heartbeat_s <= 0:
-            raise ValueError("heartbeat_s must be positive")
-        if self.detection_window_s < 0:
-            raise ValueError("detection_window_s must be non-negative")
-        if self.max_redispatch < 0:
-            raise ValueError("max_redispatch must be non-negative")
-        if self.retry_backoff_s <= 0:
-            raise ValueError("retry_backoff_s must be positive")
-        if self.backoff_cap_s is not None and self.backoff_cap_s <= 0:
-            raise ValueError("backoff_cap_s must be positive (or None)")
-        if self.retry_jitter < 0:
-            raise ValueError("retry_jitter must be non-negative")
-        if self.retry_jitter > 0 and self.seed is None:
-            raise ValueError("retry_jitter > 0 requires a seed (determinism)")
-        if self.hedge and self.hedge_deadline_s is None:
-            raise ValueError("hedge requires hedge_deadline_s")
         if self.hedge and self.disaggregate:
             raise ValueError("hedge and disaggregate are mutually exclusive")
-        if self.brownout_min_priority < 0:
-            raise ValueError("brownout_min_priority must be non-negative")
 
 
 def detect_windows(
@@ -273,17 +238,10 @@ class FleetRouter:
                     record_fleet_fault_schedule(
                         self.tracer, rep.faults, replica=rep.name
                     )
-        self._rng = (
-            np.random.default_rng(self.config.seed)
-            if self.config.retry_jitter > 0
-            else None
-        )
         # Heartbeat-detected windows, precomputed: crash schedules are
         # static, so detection is too.
         self._detected: list[list[tuple[float, float]]] = [
-            detect_windows(
-                r.crash_windows(), self.config.heartbeat_s, self.config.detection_window_s
-            )
+            detect_windows(r.crash_windows(), HEARTBEAT_S, DETECTION_WINDOW_S)
             for r in replicas
         ]
 
@@ -530,11 +488,13 @@ class FleetRouter:
     def _on_tick(self, t: Seconds) -> None:
         """One fleet observation tick: sample time-series, evaluate SLOs.
 
-        Ticks ride the global event heap on the fleet tracer's sample
+        Ticks ride the global event heap on the ``SAMPLE_INTERVAL_S``
         grid and stop once the heap drains and every session is idle.
         They never mutate serving state — only the tracer's time-series
         bank and SLO monitor.
         """
+        from repro.telemetry.fleet import SAMPLE_INTERVAL_S
+
         ft = self._ft
         for rep in self.replicas:
             session = rep.session
@@ -565,7 +525,7 @@ class FleetRouter:
                     },
                 )
         if self._heap or any(r.session.has_work() for r in self.replicas):
-            self._push(t + ft.sample_interval_s, "tick", None)
+            self._push(t + SAMPLE_INTERVAL_S, "tick", None)
 
     def _segment(self, track: _Track, at: Seconds, output_len: int | None = None):
         """The replay segment of ``track`` dispatched at ``at``, or None.
@@ -689,16 +649,10 @@ class FleetRouter:
     def _rescue(self, track: _Track, at: Seconds) -> None:
         """Schedule a backed-off router-level re-dispatch (failover path)."""
         track.redispatches += 1
-        if track.redispatches > self.config.max_redispatch:
+        if track.redispatches > MAX_REDISPATCH:
             self._finalize(track, "failed", at)
             return
-        delay = retry_delay(
-            self.config.retry_backoff_s,
-            track.redispatches,
-            self.config.retry_jitter,
-            self._rng,
-            cap=self.config.backoff_cap_s,
-        )
+        delay = retry_delay(track.redispatches, cap=BACKOFF_CAP_S)
         self.counters["redispatches"] += 1
         self._trace_event(track.orig.request_id, "redispatch", at)
         self._push(at + delay, "redispatch", track.orig.request_id)
@@ -711,17 +665,13 @@ class FleetRouter:
         if (
             cfg.brownout
             and self._any_down()
-            and request.priority < cfg.brownout_min_priority
+            and request.priority < BROWNOUT_MIN_PRIORITY
         ):
             self.counters["brownout_shed"] += 1
             self._trace_event(request.request_id, "brownout-shed", t)
             self._finalize(track, "shed", t)
             return
-        if (
-            cfg.hedge
-            and request.deadline is not None
-            and request.deadline <= cfg.hedge_deadline_s
-        ):
+        if cfg.hedge and request.deadline is not None:
             first = self._dispatch_unified(track, t)
             if first is not None:
                 second = self._dispatch_unified(
@@ -874,7 +824,7 @@ class FleetRouter:
         factor = self.replicas[src].link_degrade_factor(start) * self.replicas[
             dst
         ].link_degrade_factor(start)
-        link = self.config.interconnect
+        link = INTERCONNECT
         if factor > 1.0:
             link = replace(link, bandwidth=link.bandwidth / factor)
         name = f"kv/{track.orig.request_id}/{track.segments}"
@@ -957,20 +907,12 @@ class FleetRouter:
                     self.tracer.add_region(
                         f"replica:{rep.name}", "down", td, min(tu, horizon)
                     )
-        result = FleetResult(
+        return FleetResult(
             report=freport,
             replicas=summaries,
             transfers=transfers,
             counters=dict(self.counters),
             hedged_ids=frozenset(self._hedged_ids),
             horizon=horizon,
-            interconnect=self.config.interconnect,
+            interconnect=INTERCONNECT,
         )
-        if self._ft is not None:
-            # Post-hoc watt lanes on the tick grid: metering reads the
-            # completed trace, so it can't race in-flight span recording
-            # and provably changes nothing about the result.
-            from repro.telemetry.power import sample_fleet_power
-
-            sample_fleet_power(self._ft, result)
-        return result

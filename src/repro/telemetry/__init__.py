@@ -51,7 +51,6 @@ from repro.telemetry.power import (
     TaskEnergy,
     fleet_energy,
     grams_co2,
-    record_power_counters,
     request_energy,
     sample_fleet_power,
     schedule_energy,
@@ -110,7 +109,6 @@ __all__ = [
     "plot_timeline",
     "record_fault_schedule",
     "record_fleet_fault_schedule",
-    "record_power_counters",
     "request_energy",
     "sample_fleet_power",
     "save_chrome_trace",

@@ -37,11 +37,13 @@ from typing import TYPE_CHECKING
 from repro.telemetry.slo import SLOMonitor
 from repro.telemetry.timeseries import TimeSeriesBank
 from repro.telemetry.tracer import RequestEvent, Tracer
+from repro.units import Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.hardware.faults import FaultSchedule
 
 __all__ = [
+    "SAMPLE_INTERVAL_S",
     "TraceContext",
     "TraceHop",
     "FleetTracer",
@@ -49,6 +51,10 @@ __all__ = [
     "explain_request",
     "format_explanation",
 ]
+
+# Spacing of the fleet tick grid: the router samples the time-series bank
+# and evaluates the SLO monitor every SAMPLE_INTERVAL_S simulated seconds.
+SAMPLE_INTERVAL_S: Seconds = 0.25
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,8 @@ class FleetTracer:
     records its events (dispatches, failovers, hedges, per-token
     delivery, KV transfers, alerts) on :attr:`router`; each replica's
     session records on its own :meth:`replica` tracer; the hop log ties
-    them together.  ``sample_interval_s`` sets the tick grid the router
-    samples :attr:`timeseries` (and evaluates :attr:`monitor`) on.
+    them together.  The router samples :attr:`timeseries` (and evaluates
+    :attr:`monitor`) on a :data:`SAMPLE_INTERVAL_S` tick grid.
     """
 
     enabled: bool = True
@@ -100,19 +106,14 @@ class FleetTracer:
         self,
         monitor: SLOMonitor | None = None,
         slo=None,
-        sample_interval_s: float = 0.25,
-        ring_capacity: int = 4096,
     ) -> None:
-        if sample_interval_s <= 0:
-            raise ValueError("sample_interval_s must be positive")
         self.router = Tracer()
         self.monitor = monitor
         # The latency targets (a repro.serving.metrics.SLO) completed
         # requests are judged against when feeding `monitor`; without it
         # only non-completed dispositions burn budget.
         self.slo = slo
-        self.sample_interval_s = sample_interval_s
-        self.timeseries = TimeSeriesBank(capacity=ring_capacity)
+        self.timeseries = TimeSeriesBank()
         self.hops: list[TraceHop] = []
         self._replicas: dict[str, Tracer] = {}
 

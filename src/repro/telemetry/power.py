@@ -17,7 +17,7 @@ The model is linear and reconciles exactly by construction:
   ``peak - idle`` when compute-bound, ``busy - idle`` when memory-bound
   (transfers draw the link's ``busy - idle``),
 * an active GPU/CPU throttle fault divides clocks by ``m``, so dynamic
-  power scales by ``(1/m)**alpha`` (cube law by default) while the
+  power scales by ``(1/m)**DVFS_ALPHA`` (the cube law) while the
   realized duration already reflects the slowdown,
 * a crashed replica has no task spans inside its crash window (the
   schedule validator proves this), so it draws idle-only power there.
@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.hardware.faults import FaultKind, FaultSchedule
 from repro.hardware.spec import DeviceKind, LinkSpec, MachineSpec
+from repro.telemetry.fleet import SAMPLE_INTERVAL_S
 from repro.units import (
     GramsCO2,
     GramsCO2PerKilowattHour,
@@ -76,7 +77,6 @@ __all__ = [
     "fleet_energy",
     "grams_co2",
     "idle_watts",
-    "record_power_counters",
     "request_energy",
     "sample_fleet_power",
     "schedule_energy",
@@ -103,13 +103,10 @@ class PowerModel:
     """Tunable knobs of the power/carbon model (never affects timing)."""
 
     carbon_intensity: GramsCO2PerKilowattHour = DEFAULT_CARBON_INTENSITY
-    dvfs_alpha: Ratio = DVFS_ALPHA
 
     def __post_init__(self) -> None:
         if self.carbon_intensity < 0:
             raise ValueError("carbon_intensity must be non-negative")
-        if self.dvfs_alpha < 0:
-            raise ValueError("dvfs_alpha must be non-negative")
 
 
 DEFAULT_POWER_MODEL = PowerModel()
@@ -131,18 +128,13 @@ def idle_watts(machine: MachineSpec) -> dict[str, Watts]:
     }
 
 
-def _dvfs_scale(
-    resource: str,
-    faults: FaultSchedule | None,
-    at: Seconds,
-    model: PowerModel,
-) -> Ratio:
+def _dvfs_scale(resource: str, faults: FaultSchedule | None, at: Seconds) -> Ratio:
     """Dynamic-power scale from throttle faults active at time ``at``.
 
     A throttle of magnitude ``m`` divides the device clock by ``m``
     (matching :meth:`FaultSchedule.perturbed_machine`), so dynamic power
-    falls by ``(1/m)**alpha``.  PCIe degradation is contention, not a
-    frequency change, and does not scale power.
+    falls by ``(1/m)**DVFS_ALPHA``.  PCIe degradation is contention, not
+    a frequency change, and does not scale power.
     """
     if faults is None:
         return 1.0
@@ -154,7 +146,7 @@ def _dvfs_scale(
             div *= event.magnitude
     if div == 1.0:
         return 1.0
-    return (1.0 / div) ** model.dvfs_alpha
+    return (1.0 / div) ** DVFS_ALPHA
 
 
 def active_watts(
@@ -163,7 +155,6 @@ def active_watts(
     machine: MachineSpec | None,
     faults: FaultSchedule | None = None,
     at: Seconds = 0.0,
-    model: PowerModel | None = None,
     link: LinkSpec | None = None,
 ) -> Watts:
     """Dynamic watts *above idle* drawn by one task on ``resource``.
@@ -172,7 +163,6 @@ def active_watts(
     uncosted task, priced as memory-bound).  ``link`` overrides the
     machine's PCIe link for off-machine lanes (the fleet interconnect).
     """
-    model = DEFAULT_POWER_MODEL if model is None else model
     if resource in (DeviceKind.GPU, DeviceKind.CPU):
         if machine is None:
             raise ValueError(f"resource {resource!r} needs a MachineSpec")
@@ -181,7 +171,7 @@ def active_watts(
             dynamic = device.peak_watts - device.idle_watts
         else:
             dynamic = device.busy_watts - device.idle_watts
-        return dynamic * _dvfs_scale(resource, faults, at, model)
+        return dynamic * _dvfs_scale(resource, faults, at)
     if resource in _TRANSFER_LANES:
         spec = link
         if spec is None:
@@ -397,12 +387,9 @@ def _ledger_entry(
     cost,
     machine: MachineSpec | None,
     faults: FaultSchedule | None,
-    model: PowerModel,
     link: LinkSpec | None,
 ) -> TaskEnergy:
-    watts = active_watts(
-        resource, cost, machine, faults=faults, at=start, model=model, link=link
-    )
+    watts = active_watts(resource, cost, machine, faults=faults, at=start, link=link)
     return TaskEnergy(
         name=name,
         resource=resource,
@@ -472,7 +459,6 @@ def schedule_energy(
             task.cost,
             machine,
             faults,
-            model,
             link=None,
         )
         for task in result.tasks.values()
@@ -510,7 +496,6 @@ def tracer_energy(
             span.cost,
             machine,
             faults,
-            model,
             link=None,
         )
         for span in spans
@@ -538,7 +523,6 @@ def transfers_energy(
             task.cost,
             None,
             None,
-            model,
             link=link,
         )
         for task in transfers.tasks.values()
@@ -796,59 +780,27 @@ def fleet_energy(
 # ---- sampling power onto telemetry lanes --------------------------------------
 
 
-def record_power_counters(
-    tracer,  # repro-lint: disable=tracer-default -- sampling *augments* a recorded trace; a None tracer is meaningless here
-    machine: MachineSpec,
-    faults: FaultSchedule | None = None,
-    interval: Seconds = 0.25,
-    horizon: Seconds | None = None,
-    model: PowerModel | None = None,
-) -> EnergyReport:
-    """Sample watt counter lanes onto a single-server tracer.
-
-    Adds ``power/gpu_w`` / ``power/cpu_w`` / ``power/pcie_w`` /
-    ``power/total_w`` counter samples on a fixed grid, which the existing
-    Chrome exporter renders as counter tracks.  Returns the underlying
-    :class:`EnergyReport`.  Post-hoc only: nothing about the traced run
-    changes.
-    """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
-    report = tracer_energy(
-        tracer, machine, faults=faults, horizon=horizon, model=model
-    )
-    meters = {lane: report.lane_meter(lane) for lane in report.idle}
-    total = report.meter()
-    t = 0.0
-    while t <= report.horizon:
-        for lane, meter in meters.items():
-            tracer.add_counter(f"power/{lane}_w", t, meter.power_at(t))
-        tracer.add_counter("power/total_w", t, total.power_at(t))
-        t += interval
-    return report
-
-
 def sample_fleet_power(
     tracer: "FleetTracer",  # repro-lint: disable=tracer-default -- sampling *augments* a recorded fleet trace; a None tracer is meaningless here
-    result: "FleetResult",
-    model: PowerModel | None = None,
-) -> FleetEnergyReport:
-    """Sample per-replica watt lanes into the fleet time-series bank.
+    energy: FleetEnergyReport,
+) -> None:
+    """Sample per-replica watt lanes of ``energy`` into the fleet time-series bank.
 
-    Runs on the same tick grid the router sampled (read back from the
-    ``fleet/up_replicas`` series, falling back to the tracer's sample
-    interval), appending ``{replica}/gpu_watts`` / ``{replica}/cpu_watts``
-    / ``{replica}/pcie_watts`` / ``{replica}/watts`` lanes plus
-    ``fleet/interconnect_watts`` and the fleet-total ``fleet/watts``.
-    Called by the router after the run completes — ticks never mutate
-    serving state, and neither does metering.
+    ``energy`` is the :func:`fleet_energy` report of the run ``tracer``
+    recorded, so a caller that meters a run once can also plot it.  Runs
+    on the same tick grid the router sampled (read back from the
+    ``fleet/up_replicas`` series, falling back to the
+    ``SAMPLE_INTERVAL_S`` grid), appending ``{replica}/gpu_watts`` /
+    ``{replica}/cpu_watts`` / ``{replica}/pcie_watts`` /
+    ``{replica}/watts`` lanes plus ``fleet/interconnect_watts`` and the
+    fleet-total ``fleet/watts``.  Post-hoc only: nothing about the run
+    changes.
     """
-    energy = fleet_energy(result, tracer, model=model)
     bank = tracer.timeseries
     if "fleet/up_replicas" in bank:
         ticks = [t for t, _ in bank.series("fleet/up_replicas").samples()]
     else:
-        step = tracer.sample_interval_s
+        step = SAMPLE_INTERVAL_S
         ticks = []
         t = 0.0
         while t <= energy.horizon:
@@ -872,4 +824,3 @@ def sample_fleet_power(
         if link_meter is not None:
             bank.sample("fleet/interconnect_watts", t, link_meter.power_at(t))
         bank.sample("fleet/watts", t, fleet_meter.power_at(t))
-    return energy

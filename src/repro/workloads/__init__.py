@@ -7,7 +7,6 @@ from repro.workloads.prompts import (
     PromptWorkload,
     sample_requests,
 )
-from repro.workloads.sessions import SessionTurn, sample_session, simulate_session
 from repro.workloads.tasks import (
     TASK_FAMILIES,
     TaskInstance,
@@ -22,14 +21,11 @@ __all__ = [
     "CHATGPT_PROMPTS",
     "PAPER_OUTPUT_LENGTHS",
     "PromptWorkload",
-    "SessionTurn",
     "TASK_FAMILIES",
     "TaskInstance",
     "TaskSpec",
     "evaluate_agreement",
     "make_task",
     "sample_requests",
-    "sample_session",
-    "simulate_session",
     "score_choices",
 ]

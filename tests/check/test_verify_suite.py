@@ -12,7 +12,7 @@ import pytest
 from repro.check.verify import ITERATION_POINTS, SERVING_N_REQUESTS
 from repro.engine.powerinfer import PowerInferEngine
 from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.serving import simulate_continuous_serving
+from repro.serving import ContinuousServer
 from repro.serving.arrival import Request
 from repro.telemetry.tracer import Tracer
 
@@ -70,17 +70,15 @@ class TestEngineValidateHook:
 
 class TestServerValidateHook:
     def test_clean_run_passes_and_populates_ledger(self, engine):
-        plain = simulate_continuous_serving(
-            engine, burst(8), max_batch=4, kv_budget_bytes=BUDGET
-        )
-        checked = simulate_continuous_serving(
-            engine, burst(8), max_batch=4, kv_budget_bytes=BUDGET, validate=True
-        )
+        plain = ContinuousServer(
+            engine, max_batch=4, kv_budget_bytes=BUDGET
+        ).run(burst(8))
+        checked = ContinuousServer(
+            engine, max_batch=4, kv_budget_bytes=BUDGET, validate=True
+        ).run(burst(8))
         assert report_fingerprint(checked) == report_fingerprint(plain)
 
     def test_ledger_only_recorded_when_validating(self, engine):
-        from repro.serving import ContinuousServer
-
         server = ContinuousServer(
             engine, max_batch=4, kv_budget_bytes=BUDGET, validate=True
         )
@@ -102,16 +100,15 @@ class TestServerValidateHook:
                 FaultEvent(FaultKind.KV_SHRINK, start=0.1, duration=0.2, magnitude=0.5),
             ]
         )
-        report = simulate_continuous_serving(
+        report = ContinuousServer(
             engine,
-            burst(8),
             max_batch=4,
             kv_budget_bytes=BUDGET,
             faults=faults,
             max_retries=2,
             tracer=Tracer(),
             validate=True,
-        )
+        ).run(burst(8))
         assert report.n_iterations > 0
 
 

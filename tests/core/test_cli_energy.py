@@ -6,7 +6,14 @@ import json
 
 import pytest
 
+from repro.bench.fleet_chaos import (
+    DEFAULT_SLO,
+    build_fleet,
+    default_fleet_monitor,
+    fleet_requests,
+)
 from repro.cli import main
+from repro.telemetry import FleetTracer, power
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +96,26 @@ class TestExplainRequestEnergy:
         assert all("fleet_joules" in entry for entry in doc["timeline"])
         joules = [entry["fleet_joules"] for entry in doc["timeline"]]
         assert joules == sorted(joules)
+
+
+class TestOneMeteringPass:
+    def test_router_never_meters_and_the_deep_cli_meters_once(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        calls = []
+        fleet_energy = power.fleet_energy
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return fleet_energy(*args, **kwargs)
+
+        monkeypatch.setattr(power, "fleet_energy", spy)
+        tracer = FleetTracer(monitor=default_fleet_monitor(), slo=DEFAULT_SLO)
+        build_fleet(tracer=tracer).run(fleet_requests(4))
+        assert len(calls) == 0
+        ts = tmp_path / "watts.jsonl"
+        assert main(["fleet", "--requests", "4", "--timeseries", str(ts)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        lanes = {json.loads(line)["series"] for line in ts.read_text().splitlines()}
+        assert "fleet/watts" in lanes

@@ -1,4 +1,4 @@
-"""Tests for the serve/bounds/attribution CLI subcommands and example hygiene."""
+"""Tests for the serve/fleet/bounds/attribution CLI subcommands and example hygiene."""
 
 import json
 import pathlib
@@ -88,6 +88,24 @@ class TestServeCommand:
         rows = [line.split("|")[0].strip() for line in out.splitlines()]
         assert "naive" in rows and "degraded" in rows
         assert "deadline 12s" in out
+
+
+class TestFleetCommand:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--requests", "0"], "--requests"),
+            (["--requests", "-3"], "--requests"),
+            (["--sessions", "0"], "--sessions"),
+        ],
+        ids=["zero-requests", "negative-requests", "zero-sessions"],
+    )
+    def test_fleet_rejects_degenerate_stream(self, capsys, flags, message):
+        assert main(["fleet", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestTraceCommand:

@@ -9,7 +9,6 @@ from repro.serving import (
     ContinuousServer,
     Request,
     make_policy,
-    simulate_continuous_serving,
 )
 from repro.serving.continuous import IterationCostCache
 
@@ -49,9 +48,9 @@ class TestKvFootprintHelpers:
 
 class TestContinuousServing:
     def test_all_requests_complete_with_all_tokens(self, engine):
-        report = simulate_continuous_serving(
-            engine, burst(10), max_batch=4, kv_budget_bytes=BUDGET
-        )
+        report = ContinuousServer(
+            engine, max_batch=4, kv_budget_bytes=BUDGET
+        ).run(burst(10))
         assert report.n_requests == 10
         for metrics in report.completed:
             assert metrics.n_tokens == metrics.request.output_len
@@ -60,7 +59,7 @@ class TestContinuousServing:
             assert metrics.latency >= metrics.ttft
 
     def test_empty_request_list(self, engine):
-        report = simulate_continuous_serving(engine, [], kv_budget_bytes=BUDGET)
+        report = ContinuousServer(engine, kv_budget_bytes=BUDGET).run([])
         assert report.n_requests == 0
         assert report.makespan == 0.0
         assert report.utilization == 0.0
@@ -79,9 +78,9 @@ class TestContinuousServing:
             fcfs_makespan = (
                 start + engine.simulate_request(r.input_len, r.output_len).total_time
             )
-        cont = simulate_continuous_serving(
-            engine, requests, max_batch=1, kv_budget_bytes=BUDGET, ctx_bucket=1
-        )
+        cont = ContinuousServer(
+            engine, max_batch=1, kv_budget_bytes=BUDGET, ctx_bucket=1
+        ).run(requests)
         # One request at a time, in arrival order, with no overlap.
         order = [m.request.request_id for m in sorted(cont.completed, key=lambda m: m.finish_time)]
         assert order == [r.request_id for r in requests]
@@ -98,9 +97,9 @@ class TestContinuousServing:
             Request(request_id=i, arrival_time=0.0, input_len=16, output_len=16)
             for i in range(6)
         ]
-        report = simulate_continuous_serving(
-            engine, requests, max_batch=2, kv_budget_bytes=BUDGET
-        )
+        report = ContinuousServer(
+            engine, max_batch=2, kv_budget_bytes=BUDGET
+        ).run(requests)
         first_tokens = [m.first_token_time for m in report.completed]
         # request_id order == submission order; earlier requests must not
         # see their first token after later ones.
@@ -114,9 +113,9 @@ class TestContinuousServing:
             Request(request_id=0, arrival_time=0.0, input_len=16, output_len=8),
             Request(request_id=1, arrival_time=0.0, input_len=16, output_len=64),
         ]
-        report = simulate_continuous_serving(
-            engine, requests, max_batch=2, kv_budget_bytes=BUDGET
-        )
+        report = ContinuousServer(
+            engine, max_batch=2, kv_budget_bytes=BUDGET
+        ).run(requests)
         short, long_ = report.completed
         assert short.finish_time < long_.finish_time
 
@@ -126,19 +125,19 @@ class TestContinuousServing:
                     output_len=64 if i % 2 else 8)
             for i in range(12)
         ]
-        static = simulate_continuous_serving(
-            engine, requests, policy="static", max_batch=4, kv_budget_bytes=BUDGET
-        )
-        cont = simulate_continuous_serving(
-            engine, requests, max_batch=4, kv_budget_bytes=BUDGET
-        )
+        static = ContinuousServer(
+            engine, policy="static", max_batch=4, kv_budget_bytes=BUDGET
+        ).run(requests)
+        cont = ContinuousServer(
+            engine, max_batch=4, kv_budget_bytes=BUDGET
+        ).run(requests)
         assert cont.mean_latency < static.mean_latency
         assert cont.tokens_per_second >= static.tokens_per_second
 
     def test_utilization_at_most_one(self, engine):
-        report = simulate_continuous_serving(
-            engine, burst(8), max_batch=8, kv_budget_bytes=BUDGET
-        )
+        report = ContinuousServer(
+            engine, max_batch=8, kv_budget_bytes=BUDGET
+        ).run(burst(8))
         assert 0.0 < report.utilization <= 1.0 + 1e-9
 
     def test_invalid_parameters(self, engine):
@@ -153,9 +152,9 @@ class TestContinuousServing:
 class TestAdmissionControl:
     def test_peak_kv_never_exceeds_budget(self, engine):
         budget = 3 * engine.request_kv_bytes(16, 32)
-        report = simulate_continuous_serving(
-            engine, burst(9), max_batch=8, kv_budget_bytes=budget
-        )
+        report = ContinuousServer(
+            engine, max_batch=8, kv_budget_bytes=budget
+        ).run(burst(9))
         assert report.n_requests == 9
         assert report.peak_kv_bytes <= report.kv_budget_bytes + 1e-6
         assert report.peak_kv_bytes > 0
@@ -163,9 +162,9 @@ class TestAdmissionControl:
     def test_budget_caps_concurrency(self, engine):
         # Budget for exactly 2 requests: no instant may hold 3 in flight.
         budget = 2 * engine.request_kv_bytes(16, 32)
-        report = simulate_continuous_serving(
-            engine, burst(6), max_batch=8, kv_budget_bytes=budget
-        )
+        report = ContinuousServer(
+            engine, max_batch=8, kv_budget_bytes=budget
+        ).run(burst(6))
         events = []
         for m in report.completed:
             events.append((m.admit_time, 1))
@@ -177,9 +176,9 @@ class TestAdmissionControl:
 
     def test_queue_on_full_delays_admission_in_order(self, engine):
         budget = engine.request_kv_bytes(16, 32)  # one request at a time
-        report = simulate_continuous_serving(
-            engine, burst(4), max_batch=8, kv_budget_bytes=budget
-        )
+        report = ContinuousServer(
+            engine, max_batch=8, kv_budget_bytes=budget
+        ).run(burst(4))
         admits = [m.admit_time for m in report.completed]
         assert admits == sorted(admits)
         # Later arrivals waited for a KV slot, not just for their arrival.
@@ -188,7 +187,7 @@ class TestAdmissionControl:
     def test_oversized_request_raises(self, engine):
         budget = engine.request_kv_bytes(16, 32) * 0.5
         with pytest.raises(OutOfMemoryError):
-            simulate_continuous_serving(engine, burst(1), kv_budget_bytes=budget)
+            ContinuousServer(engine, kv_budget_bytes=budget).run(burst(1))
 
 
 class TestSchedulerPolicies:
@@ -200,17 +199,15 @@ class TestSchedulerPolicies:
             Request(request_id=0, arrival_time=0.0, input_len=16, output_len=64),
             Request(request_id=1, arrival_time=0.05, input_len=96, output_len=8),
         ]
-        fcfs = simulate_continuous_serving(
-            engine, requests, policy="fcfs", max_batch=2, kv_budget_bytes=BUDGET
-        )
-        chunked = simulate_continuous_serving(
+        fcfs = ContinuousServer(
+            engine, policy="fcfs", max_batch=2, kv_budget_bytes=BUDGET
+        ).run(requests)
+        chunked = ContinuousServer(
             engine,
-            requests,
-            policy="chunked",
-            max_prefill_tokens=16,
+            policy=make_policy("chunked", max_prefill_tokens=16),
             max_batch=2,
             kv_budget_bytes=BUDGET,
-        )
+        ).run(requests)
         a_fcfs = next(m for m in fcfs.completed if m.request.request_id == 0)
         a_chunked = next(m for m in chunked.completed if m.request.request_id == 0)
         assert a_chunked.max_tbt < a_fcfs.max_tbt
@@ -229,12 +226,12 @@ class TestSchedulerPolicies:
             Request(request_id=0, arrival_time=0.0, input_len=16, output_len=64),
             Request(request_id=1, arrival_time=0.05, input_len=64, output_len=8),
         ]
-        fcfs = simulate_continuous_serving(
-            engine, requests, policy="fcfs", max_batch=2, kv_budget_bytes=BUDGET
-        )
-        priority = simulate_continuous_serving(
-            engine, requests, policy="prefill-first", max_batch=2, kv_budget_bytes=BUDGET
-        )
+        fcfs = ContinuousServer(
+            engine, policy="fcfs", max_batch=2, kv_budget_bytes=BUDGET
+        ).run(requests)
+        priority = ContinuousServer(
+            engine, policy="prefill-first", max_batch=2, kv_budget_bytes=BUDGET
+        ).run(requests)
         b_fcfs = next(m for m in fcfs.completed if m.request.request_id == 1)
         b_priority = next(m for m in priority.completed if m.request.request_id == 1)
         assert b_priority.ttft < b_fcfs.ttft

@@ -9,8 +9,8 @@ import pytest
 
 from repro.engine.powerinfer import PowerInferEngine
 from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.serving import ContinuousServer, Request, simulate_continuous_serving
-from repro.serving.continuous import IterationCostCache
+from repro.serving import ContinuousServer, Request
+from repro.serving.continuous import RETRY_BACKOFF_S, IterationCostCache
 
 BUDGET = 256 * 2**20
 
@@ -67,9 +67,7 @@ class TestDeadlines:
             Request(request_id=1, arrival_time=0.001, input_len=16, output_len=16),
         ]
         budget = engine.request_kv_bytes(16, 512)
-        report = simulate_continuous_serving(
-            engine, requests, kv_budget_bytes=budget
-        )
+        report = ContinuousServer(engine, kv_budget_bytes=budget).run(requests)
         assert [r.request_id for r in report.timed_out] == [0]
         assert [m.request.request_id for m in report.completed] == [1]
         assert report.n_submitted == 2
@@ -84,9 +82,9 @@ class TestDeadlines:
             Request(request_id=1, arrival_time=0.001, input_len=16, output_len=8,
                     deadline=0.01),
         ]
-        report = simulate_continuous_serving(
-            engine, requests, max_batch=1, kv_budget_bytes=BUDGET
-        )
+        report = ContinuousServer(
+            engine, max_batch=1, kv_budget_bytes=BUDGET
+        ).run(requests)
         assert [r.request_id for r in report.timed_out] == [1]
         assert [m.request.request_id for m in report.completed] == [0]
 
@@ -97,16 +95,14 @@ class TestDeadlines:
                     deadline=0.01),
             Request(request_id=1, arrival_time=0.0, input_len=16, output_len=16),
         ]
-        report = simulate_continuous_serving(
-            engine, requests, kv_budget_bytes=BUDGET, deadline=30.0
-        )
+        report = ContinuousServer(
+            engine, kv_budget_bytes=BUDGET, deadline=30.0
+        ).run(requests)
         assert [r.request_id for r in report.timed_out] == [0]
         assert [m.request.request_id for m in report.completed] == [1]
 
     def test_no_deadline_means_no_timeouts(self, engine):
-        report = simulate_continuous_serving(
-            engine, burst(4), kv_budget_bytes=BUDGET
-        )
+        report = ContinuousServer(engine, kv_budget_bytes=BUDGET).run(burst(4))
         assert not report.timed_out
         assert report.n_requests == 4
 
@@ -116,26 +112,27 @@ class TestStallsAndRetries:
 
     def test_stall_aborts_then_retry_completes(self, engine):
         faults = FaultSchedule([self.STALL])  # inside the first prefill
-        report = simulate_continuous_serving(
-            engine, burst(1), kv_budget_bytes=BUDGET, faults=faults,
-            max_retries=2, retry_backoff=0.001,
-        )
+        report = ContinuousServer(
+            engine,
+            kv_budget_bytes=BUDGET,
+            faults=faults,
+            max_retries=2,
+        ).run(burst(1))
         assert report.n_aborts == 1
         assert report.n_retries == 1
         assert not report.failed
         assert report.n_requests == 1
         # Re-admitted only after the stall cleared plus the backoff.
-        assert report.completed[0].admit_time >= self.STALL.end + 0.001
+        assert report.completed[0].admit_time >= self.STALL.end + RETRY_BACKOFF_S
         # No iteration span crosses the stall window's interior.
         for start, end in report.busy_intervals:
             assert end <= self.STALL.start + 1e-12 or start >= self.STALL.end - 1e-12
 
     def test_retry_exhaustion_marks_failed(self, engine):
         faults = FaultSchedule([self.STALL])
-        report = simulate_continuous_serving(
-            engine, burst(1), kv_budget_bytes=BUDGET, faults=faults,
-            max_retries=0,
-        )
+        report = ContinuousServer(
+            engine, kv_budget_bytes=BUDGET, faults=faults, max_retries=0
+        ).run(burst(1))
         assert report.n_aborts == 1
         assert report.n_retries == 0
         assert [r.request_id for r in report.failed] == [0]
@@ -145,17 +142,18 @@ class TestStallsAndRetries:
     def test_backoff_grows_exponentially(self, engine):
         # Two stalls hit the same request's first and second attempts; the
         # second retry must wait twice the base backoff.
-        faults = FaultSchedule([
-            self.STALL,
-            FaultEvent(FaultKind.DEVICE_STALL, start=0.0305, duration=0.003),
-        ])
-        backoff = 0.02  # first retry ready at 0.006 + 0.02 = 0.026
-        report = simulate_continuous_serving(
-            engine, burst(1), kv_budget_bytes=BUDGET, faults=faults,
-            max_retries=3, retry_backoff=backoff,
-        )
+        first_retry = self.STALL.end + RETRY_BACKOFF_S  # 0.006 + 0.05 = 0.056
+        second = FaultEvent(
+            FaultKind.DEVICE_STALL, start=first_retry + 0.0045, duration=0.003
+        )  # inside the retried first prefill
+        report = ContinuousServer(
+            engine,
+            kv_budget_bytes=BUDGET,
+            faults=FaultSchedule([self.STALL, second]),
+            max_retries=3,
+        ).run(burst(1))
         assert report.n_aborts == 2
-        assert report.completed[0].admit_time >= 0.0335 + 2 * backoff
+        assert report.completed[0].admit_time >= second.end + 2 * RETRY_BACKOFF_S
 
     def test_stall_while_idle_delays_without_aborts(self, engine):
         faults = FaultSchedule(
@@ -164,9 +162,9 @@ class TestStallsAndRetries:
         requests = [
             Request(request_id=0, arrival_time=10.0, input_len=16, output_len=8)
         ]
-        report = simulate_continuous_serving(
-            engine, requests, kv_budget_bytes=BUDGET, faults=faults
-        )
+        report = ContinuousServer(
+            engine, kv_budget_bytes=BUDGET, faults=faults
+        ).run(requests)
         assert report.n_aborts == 0
         # Arrived mid-stall: service waits for the window to clear.
         assert report.completed[0].ttft >= 0.5
@@ -174,10 +172,12 @@ class TestStallsAndRetries:
 
 class TestLoadShedding:
     def test_queue_bound_sheds_excess_arrivals(self, engine):
-        report = simulate_continuous_serving(
-            engine, burst(6, gap=0.0), max_batch=1,
-            kv_budget_bytes=engine.request_kv_bytes(16, 32), max_queue=2,
-        )
+        report = ContinuousServer(
+            engine,
+            max_batch=1,
+            kv_budget_bytes=engine.request_kv_bytes(16, 32),
+            max_queue=2,
+        ).run(burst(6, gap=0.0))
         assert len(report.shed) == 4
         assert report.n_requests == 2
         assert report.n_submitted == 6
@@ -186,10 +186,9 @@ class TestLoadShedding:
         assert report.peak_kv_bytes <= report.kv_budget_bytes + 1e-6
 
     def test_unbounded_queue_sheds_nothing(self, engine):
-        report = simulate_continuous_serving(
-            engine, burst(6, gap=0.0), max_batch=1,
-            kv_budget_bytes=engine.request_kv_bytes(16, 32),
-        )
+        report = ContinuousServer(
+            engine, max_batch=1, kv_budget_bytes=engine.request_kv_bytes(16, 32)
+        ).run(burst(6, gap=0.0))
         assert not report.shed
         assert report.n_requests == 6
 
@@ -200,10 +199,13 @@ class TestKvShrinkDegradation:
     )
 
     def run(self, engine, degradation):
-        return simulate_continuous_serving(
-            engine, burst(4), kv_budget_bytes=2 * engine.request_kv_bytes(16, 32),
-            faults=self.FAULTS, deadline=1.0, degradation=degradation,
-        )
+        return ContinuousServer(
+            engine,
+            kv_budget_bytes=2 * engine.request_kv_bytes(16, 32),
+            faults=self.FAULTS,
+            deadline=1.0,
+            degradation=degradation,
+        ).run(burst(4))
 
     def test_naive_starves_degraded_replans(self, engine):
         naive = self.run(engine, degradation=False)
@@ -268,16 +270,14 @@ class TestThroughputBrownout:
         return peak
 
     def test_batch_cap_engages_only_with_degradation(self, engine):
-        kwargs = dict(
-            max_batch=4, kv_budget_bytes=BUDGET, faults=self.FAULTS,
-            degraded_max_batch=1,
-        )
-        naive = simulate_continuous_serving(
-            engine, burst(4, gap=0.0), degradation=False, **kwargs
-        )
-        capped = simulate_continuous_serving(
-            engine, burst(4, gap=0.0), degradation=True, **kwargs
-        )
+        # max_batch=4 caps the batch at max(1, 4 // 4) = 1 under faults.
+        kwargs = dict(max_batch=4, kv_budget_bytes=BUDGET, faults=self.FAULTS)
+        naive = ContinuousServer(
+            engine, degradation=False, **kwargs
+        ).run(burst(4, gap=0.0))
+        capped = ContinuousServer(
+            engine, degradation=True, **kwargs
+        ).run(burst(4, gap=0.0))
         assert self.peak_in_flight(naive) > 1
         assert self.peak_in_flight(capped) == 1
         assert capped.time_in_degraded_mode > 0.0
@@ -291,21 +291,22 @@ class TestDeterminismAndRecovery:
         for _ in range(2):
             faults = FaultSchedule.from_seed(3, horizon=0.5, n_events=3)
             reports.append(
-                simulate_continuous_serving(
-                    engine, burst(8), kv_budget_bytes=BUDGET, faults=faults,
-                    deadline=5.0, max_retries=2,
-                )
+                ContinuousServer(
+                    engine,
+                    kv_budget_bytes=BUDGET,
+                    faults=faults,
+                    deadline=5.0,
+                    max_retries=2,
+                ).run(burst(8))
             )
         assert reports[0] == reports[1]
 
     def test_server_recovers_after_fault_window(self, engine):
         faults = FaultSchedule([throttle(0.0, 0.05, magnitude=8.0)])
-        faulted = simulate_continuous_serving(
-            engine, burst(6), kv_budget_bytes=BUDGET, faults=faults
-        )
-        clean = simulate_continuous_serving(
-            engine, burst(6), kv_budget_bytes=BUDGET
-        )
+        faulted = ContinuousServer(
+            engine, kv_budget_bytes=BUDGET, faults=faults
+        ).run(burst(6))
+        clean = ContinuousServer(engine, kv_budget_bytes=BUDGET).run(burst(6))
         # Everything completes once the window passes — slower overall,
         # but with no residual effect on correctness.
         assert faulted.n_requests == 6

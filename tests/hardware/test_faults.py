@@ -145,6 +145,10 @@ class TestConstruction:
         sched = FaultSchedule([
             pcie(),
             FaultEvent(FaultKind.DEVICE_STALL, start=5.0, duration=0.5),
+            # Fleet kinds: JSON fault files may name a crash/recover pair.
+            FaultEvent(FaultKind.REPLICA_CRASH, start=6.0, duration=2.0),
+            FaultEvent(FaultKind.REPLICA_RECOVER, start=8.0, duration=1.0,
+                       magnitude=3.0),
         ])
         again = FaultSchedule.from_dicts(sched.to_dicts())
         assert again.events == sched.events
@@ -234,62 +238,3 @@ class TestFleetFaultKinds:
     def test_machine_view_is_identity_for_machine_schedules(self):
         sched = FaultSchedule([pcie()])
         assert sched.machine_view() is sched
-
-    def test_from_seed_replica_deterministic(self):
-        a = FaultSchedule.from_seed_replica(7, horizon=300.0, mtbf=60.0, mttr=10.0)
-        b = FaultSchedule.from_seed_replica(7, horizon=300.0, mtbf=60.0, mttr=10.0)
-        c = FaultSchedule.from_seed_replica(8, horizon=300.0, mtbf=60.0, mttr=10.0)
-        assert a.events == b.events
-        assert a.events != c.events
-
-    def test_from_seed_replica_round_trip(self):
-        sched = FaultSchedule.from_seed_replica(
-            11, horizon=300.0, mtbf=40.0, mttr=8.0, recover_slowdown=3.0
-        )
-        assert sched.events  # the parameters make at least one crash likely
-        again = FaultSchedule.from_dicts(sched.to_dicts())
-        assert again.events == sched.events
-
-    def test_from_seed_replica_lifecycle_shape(self):
-        sched = FaultSchedule.from_seed_replica(
-            3, horizon=500.0, mtbf=50.0, mttr=10.0, recover_fraction=0.5,
-            recover_slowdown=2.0, first_crash_after=5.0,
-        )
-        events = sched.events
-        assert events and events[0].start >= 5.0
-        assert all(e.start < 500.0 for e in events)
-        # Alternating crash/recover, each recover glued to its crash end
-        # at half the outage length; windows never overlap.
-        for prev, nxt in zip(events, events[1:]):
-            assert nxt.start >= prev.end
-            if prev.kind == FaultKind.REPLICA_CRASH:
-                assert nxt.kind == FaultKind.REPLICA_RECOVER
-                assert nxt.start == prev.end
-                assert nxt.duration == pytest.approx(0.5 * prev.duration)
-                assert nxt.magnitude == 2.0
-
-    def test_from_seed_replica_no_recover_windows(self):
-        sched = FaultSchedule.from_seed_replica(
-            3, horizon=500.0, mtbf=50.0, mttr=10.0, recover_fraction=0.0
-        )
-        assert all(e.kind == FaultKind.REPLICA_CRASH for e in sched.events)
-
-    def test_from_seed_replica_validation(self):
-        with pytest.raises(ValueError):
-            FaultSchedule.from_seed_replica(0, horizon=0.0, mtbf=1.0, mttr=1.0)
-        with pytest.raises(ValueError):
-            FaultSchedule.from_seed_replica(0, horizon=1.0, mtbf=0.0, mttr=1.0)
-        with pytest.raises(ValueError):
-            FaultSchedule.from_seed_replica(0, horizon=1.0, mtbf=1.0, mttr=-1.0)
-        with pytest.raises(ValueError):
-            FaultSchedule.from_seed_replica(
-                0, horizon=1.0, mtbf=1.0, mttr=1.0, recover_fraction=1.5
-            )
-        with pytest.raises(ValueError):
-            FaultSchedule.from_seed_replica(
-                0, horizon=1.0, mtbf=1.0, mttr=1.0, recover_slowdown=0.5
-            )
-        with pytest.raises(ValueError):
-            FaultSchedule.from_seed_replica(
-                0, horizon=1.0, mtbf=1.0, mttr=1.0, first_crash_after=-1.0
-            )

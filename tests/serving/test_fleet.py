@@ -27,6 +27,7 @@ from repro.bench.runner import make_engine
 from repro.check.schedule import validate_fleet_run
 from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.serving import (
+    ContinuousServer,
     FleetConfig,
     FleetRouter,
     Replica,
@@ -34,9 +35,9 @@ from repro.serving import (
     make_router_policy,
     poisson_arrivals,
     retry_delay,
-    simulate_continuous_serving,
 )
 from repro.serving.arrival import Request
+from repro.serving.continuous import RETRY_BACKOFF_S
 from repro.serving.fleet import detect_windows
 from repro.serving.fleet.policies import LeastLoadedPolicy
 from repro.workloads import CHATGPT_PROMPTS
@@ -91,55 +92,13 @@ def blind_result():
 
 class TestRetryDelay:
     def test_exponential_growth_and_cap(self):
-        assert retry_delay(0.05, 1) == 0.05
-        assert retry_delay(0.05, 2) == 0.10
-        assert retry_delay(0.05, 4) == 0.40
-        assert retry_delay(0.05, 10, cap=2.0) == 2.0
-
-    def test_no_jitter_draws_no_randomness(self):
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        assert retry_delay(0.05, 3, jitter=0.0, rng=rng) == 0.20
-        assert rng.bit_generator.state == before
-
-    def test_jitter_is_seeded_and_bounded(self):
-        a = retry_delay(0.05, 2, jitter=0.5, rng=np.random.default_rng(3))
-        b = retry_delay(0.05, 2, jitter=0.5, rng=np.random.default_rng(3))
-        assert a == b
-        assert 0.10 <= a <= 0.15
-
-    def test_jitter_requires_rng(self):
-        with pytest.raises(ValueError, match="seeded generator"):
-            retry_delay(0.05, 1, jitter=0.5)
+        assert RETRY_BACKOFF_S == 0.05
+        assert retry_delay(1) == 0.05
+        assert retry_delay(2) == 0.10
+        assert retry_delay(4) == 0.40
+        assert retry_delay(10, cap=2.0) == 2.0
         with pytest.raises(ValueError):
-            retry_delay(0.05, 0)
-        with pytest.raises(ValueError):
-            retry_delay(0.05, 1, jitter=-0.1, rng=np.random.default_rng(0))
-
-    def test_server_no_jitter_default_is_bit_identical(self):
-        # Satellite contract: the jitter-free default reproduces the
-        # classic schedule exactly — no RNG is even instantiated.
-        engine = _engine()
-        requests = _requests()
-        base = simulate_continuous_serving(
-            engine, requests, policy="fcfs", **SERVER_KW
-        )
-        explicit = simulate_continuous_serving(
-            engine, requests, policy="fcfs", retry_jitter=0.0, **SERVER_KW
-        )
-        assert base.to_dict(DEFAULT_SLO) == explicit.to_dict(DEFAULT_SLO)
-        assert base.completed == explicit.completed
-
-    def test_server_jitter_requires_seed_and_is_deterministic(self):
-        engine = _engine()
-        with pytest.raises(ValueError, match="seed"):
-            simulate_continuous_serving(
-                engine, _requests(n=4), retry_jitter=0.3, **SERVER_KW
-            )
-        kw = dict(retry_jitter=0.3, seed=5, **SERVER_KW)
-        a = simulate_continuous_serving(engine, _requests(), **kw)
-        b = simulate_continuous_serving(engine, _requests(), **kw)
-        assert a.to_dict(DEFAULT_SLO) == b.to_dict(DEFAULT_SLO)
+            retry_delay(0)
 
 
 # ---- heartbeat detection -----------------------------------------------------
@@ -205,13 +164,7 @@ class TestRouterPolicies:
 class TestFleetValidation:
     def test_config_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
-            FleetConfig(heartbeat_s=0.0)
-        with pytest.raises(ValueError):
-            FleetConfig(retry_jitter=0.5)  # no seed
-        with pytest.raises(ValueError):
-            FleetConfig(hedge=True)  # no hedge_deadline_s
-        with pytest.raises(ValueError):
-            FleetConfig(hedge=True, hedge_deadline_s=5.0, disaggregate=True)
+            FleetConfig(hedge=True, disaggregate=True)
 
     def test_router_rejects_bad_fleets(self):
         with pytest.raises(ValueError, match="replica"):
@@ -231,12 +184,11 @@ class TestFleetValidation:
 class TestSingleReplicaBitIdentity:
     def test_fleet_of_one_reproduces_the_monolithic_server(self):
         requests = _requests(n=24, rate=1.5, seed=11)
-        solo = simulate_continuous_serving(
+        solo = ContinuousServer(
             _engine(),
-            requests,
             policy=make_policy("chunked", max_prefill_tokens=32),
             **SERVER_KW,
-        )
+        ).run(requests)
         result = FleetRouter([_replica()]).run(requests)
         fleet = result.report
         assert fleet.completed == solo.completed
@@ -439,8 +391,6 @@ class TestDisaggregation:
 
 class TestServerSessionExternalMode:
     def _session(self):
-        from repro.serving.continuous import ContinuousServer
-
         server = ContinuousServer(
             _engine(), policy="fcfs", **SERVER_KW
         )

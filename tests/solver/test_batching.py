@@ -1,32 +1,9 @@
-"""Tests for impact metric and neuron batching."""
+"""Tests for neuron batching."""
 
 import numpy as np
 import pytest
 
 from repro.solver.batching import batch_neurons
-from repro.solver.impact import neuron_impact
-
-
-class TestImpact:
-    def test_impact_is_frequency(self, rng):
-        freqs = rng.random(100)
-        assert np.array_equal(neuron_impact(freqs), freqs)
-
-    def test_impact_copies(self, rng):
-        freqs = rng.random(10)
-        impact = neuron_impact(freqs)
-        impact[0] = -99
-        assert freqs[0] != -99
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            neuron_impact(np.array([-1.0]))
-
-    def test_rejects_empty_and_2d(self):
-        with pytest.raises(ValueError):
-            neuron_impact(np.array([]))
-        with pytest.raises(ValueError):
-            neuron_impact(np.ones((2, 2)))
 
 
 class TestBatching:

@@ -25,8 +25,8 @@ from repro.telemetry.power import (
     fleet_generated_tokens,
     grams_co2,
     idle_watts,
-    record_power_counters,
     request_energy,
+    sample_fleet_power,
     schedule_energy,
     tracer_energy,
 )
@@ -131,16 +131,6 @@ class TestScheduleEnergy:
             pytest.approx(MACHINE.link.busy_watts - MACHINE.link.idle_watts)
         )
 
-    def test_dvfs_alpha_knob(self):
-        faults = FaultSchedule(
-            [FaultEvent(FaultKind.GPU_THROTTLE, start=0.0, duration=9.0, magnitude=2.0)]
-        )
-        linear = PowerModel(dvfs_alpha=1.0)
-        nominal = active_watts("gpu", None, MACHINE)
-        assert active_watts(
-            "gpu", None, MACHINE, faults=faults, at=1.0, model=linear
-        ) == pytest.approx(nominal / 2.0)
-
     def test_carbon_accounting(self):
         assert grams_co2(3.6e6) == pytest.approx(DEFAULT_CARBON_INTENSITY)
         assert grams_co2(3.6e6, intensity=50.0) == pytest.approx(50.0)
@@ -204,28 +194,13 @@ class TestTracerEnergy:
         ledger = energy.dynamic_joules + energy.static_joules
         assert energy.metered_joules == pytest.approx(ledger, rel=1e-9)
 
-    def test_record_power_counters_adds_lanes_only(self):
-        engine = make_engine("powerinfer", "opt-6.7b", "pc-low", "int4")
-        result = engine.simulate_iteration(128, 1, 1, tracer=Tracer())
-        tracer = Tracer()
-        engine.simulate_iteration(128, 1, 1, tracer=tracer)
-        before = len(tracer.task_spans)
-        report = record_power_counters(tracer, engine.machine)
-        lanes = {s.series for s in tracer.counters if s.series.startswith("power/")}
-        assert lanes == {"power/gpu_w", "power/cpu_w", "power/pcie_w", "power/total_w"}
-        assert len(tracer.task_spans) == before  # augments, never mutates
-        assert report.total_joules > 0.0
-        totals = [s for s in tracer.counters if s.series == "power/total_w"]
-        meter = report.meter()
-        for sample in totals:
-            assert sample.value == pytest.approx(meter.power_at(sample.time))
-
 
 class TestFleetEnergy:
     @pytest.fixture(scope="class")
     def chaos_run(self):
         tracer = deep_tracer()
         result = build_fleet(tracer=tracer).run(fleet_requests(12))
+        sample_fleet_power(tracer, fleet_energy(result, tracer))
         return tracer, result
 
     def test_fleet_reconciles(self, chaos_run):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine.powerinfer import PowerInferEngine
 from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.serving import Request, simulate_continuous_serving
+from repro.serving import ContinuousServer, Request
 from repro.serving.metrics import merge_busy_intervals
 from repro.telemetry import NullTracer, Tracer
 
@@ -57,18 +57,18 @@ SERVE_KWARGS = dict(max_batch=4, kv_budget_bytes=BUDGET, deadline=5.0,
 def traced_run(engine):
     faults = chaos_faults()
     tracer = Tracer()
-    report = simulate_continuous_serving(
-        engine, burst(12), faults=faults, tracer=tracer, **SERVE_KWARGS
-    )
+    report = ContinuousServer(
+        engine, faults=faults, tracer=tracer, **SERVE_KWARGS
+    ).run(burst(12))
     return tracer, report, faults
 
 
 class TestTracingIsPassive:
     def test_report_identical_with_and_without_tracer(self, engine, traced_run):
         _, traced, faults = traced_run
-        untraced = simulate_continuous_serving(
-            engine, burst(12), faults=chaos_faults(), **SERVE_KWARGS
-        )
+        untraced = ContinuousServer(
+            engine, faults=chaos_faults(), **SERVE_KWARGS
+        ).run(burst(12))
         assert untraced.busy_intervals == traced.busy_intervals
         assert untraced.degraded_intervals == traced.degraded_intervals
         assert untraced.n_iterations == traced.n_iterations
@@ -81,9 +81,9 @@ class TestTracingIsPassive:
     def test_null_tracer_records_nothing_and_changes_nothing(self, engine, traced_run):
         _, traced, _ = traced_run
         null = NullTracer()
-        report = simulate_continuous_serving(
-            engine, burst(12), faults=chaos_faults(), tracer=null, **SERVE_KWARGS
-        )
+        report = ContinuousServer(
+            engine, faults=chaos_faults(), tracer=null, **SERVE_KWARGS
+        ).run(burst(12))
         assert len(null) == 0
         assert len(null.metrics) == 0
         assert report.busy_intervals == traced.busy_intervals
@@ -190,14 +190,9 @@ class TestRequestReconciliation:
 
     def test_timeouts_are_traced(self, engine):
         tracer = Tracer()
-        report = simulate_continuous_serving(
-            engine,
-            burst(6, output_len=64),
-            max_batch=2,
-            kv_budget_bytes=BUDGET,
-            deadline=0.05,  # far below a full request's ~100 ms
-            tracer=tracer,
-        )
+        report = ContinuousServer(
+            engine, max_batch=2, kv_budget_bytes=BUDGET, deadline=0.05, tracer=tracer
+        ).run(burst(6, output_len=64))
         assert report.timed_out
         timeouts = [e for e in tracer.request_events if e.kind == "timeout"]
         assert {e.request_id for e in timeouts} == {
