@@ -8,6 +8,9 @@ invariants the simulator promises —
 
 * exclusive devices never run two tasks at once (no busy-interval races);
 * no task starts before every dependency has finished;
+* on every resource, each task of a DAG is a descendant of the previous
+  task on that resource (the ``resource-chain`` rule, which makes the
+  longest-path pass of :mod:`repro.hardware.events` exact);
 * durations are finite and non-negative;
 * each task's :class:`~repro.hardware.costmodel.TaskCost` components sum
   to its scheduled duration (the attribution contract);
@@ -44,6 +47,7 @@ __all__ = [
     "ScheduleValidationError",
     "KVEvent",
     "validate_schedule",
+    "validate_resource_chain",
     "validate_kv_ledger",
     "validate_server_run",
     "validate_fleet_run",
@@ -292,6 +296,49 @@ def validate_schedule(
         )
 
     violations.sort(key=lambda v: (v.time if v.time is not None else -1.0, v.check))
+    return violations
+
+
+def validate_resource_chain(tasks: Sequence["SimTask"]) -> list[Violation]:
+    """The ``resource-chain`` rule over a DAG in its list order.
+
+    On every resource, each task must be a descendant of the previous task
+    listed on that resource.  Then no task can wait for its device under
+    any durations (fault-perturbed machines included), so the list
+    scheduler's schedule is the DAG's longest path.  The rule reads only
+    names, resources and dependencies.
+    """
+    deps_of = {t.name: tuple(t.deps) for t in tasks}
+
+    def descends(task: str, ancestor: str) -> bool:
+        seen = {task}
+        stack = list(deps_of[task])
+        while stack:
+            name = stack.pop()
+            if name == ancestor:
+                return True
+            if name not in seen and name in deps_of:
+                seen.add(name)
+                stack.extend(deps_of[name])
+        return False
+
+    violations: list[Violation] = []
+    previous: dict[str, str] = {}
+    for task in tasks:
+        prev = previous.get(task.resource)
+        if prev is not None and not descends(task.name, prev):
+            violations.append(
+                Violation(
+                    check="resource-chain",
+                    task=task.name,
+                    message=(
+                        f"{task.name!r} does not descend from {prev!r}, the "
+                        f"previous task on {task.resource!r}, so it may wait "
+                        "for its device"
+                    ),
+                )
+            )
+        previous[task.resource] = task.name
     return violations
 
 

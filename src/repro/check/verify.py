@@ -2,7 +2,8 @@
 
 Sweeps the canonical benchmark grid — every registered engine on the
 bench-suite (model, machine, dtype) combinations — validating a prompt
-iteration, a decode iteration, and a batched decode iteration for each,
+iteration, a decode iteration, and a batched decode iteration for each
+(the realized schedule, and the ``resource-chain`` rule over its DAG),
 then replays the canonical continuous-serving scenarios (fault-free and
 the chaos degrade/squeeze/stall timeline) with ``validate=True`` and a
 tracer attached, so every invariant in :mod:`repro.check.schedule` is
@@ -21,7 +22,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.check.schedule import ScheduleValidationError, validate_schedule
+from repro.check.schedule import (
+    ScheduleValidationError,
+    validate_resource_chain,
+    validate_schedule,
+)
 
 __all__ = ["run_verification"]
 
@@ -69,7 +74,9 @@ def _iteration_cases(quick: bool) -> list[dict]:
             continue
         for kind, ctx, n_tokens, batch in ITERATION_POINTS:
             result = engine.simulate_iteration(ctx, n_tokens, batch)
-            violations = validate_schedule(result)
+            violations = validate_resource_chain(
+                engine.iteration_tasks(engine.machine, ctx, n_tokens, batch)
+            ) + validate_schedule(result)
             cases.append(
                 {
                     "case": f"{prefix}/{kind}",

@@ -1,14 +1,18 @@
 """Abstract base for performance-simulated inference engines.
 
-Every engine — PowerInfer and the baselines — implements one method:
+Every engine — PowerInfer and the baselines — implements
 :meth:`PerfEngine.iteration_tasks`, producing the operator DAG for a single
 inference iteration (one token block) at a given context length, priced on
-a given machine.  :meth:`PerfEngine.simulate_iteration` is the one place
-that builds such a DAG and schedules it on the GPU/CPU/PCIe resources via
-the discrete-event simulator; the serving cost cache, fault epochs, what-if
-knobs and attribution all price through it.  The base class also assembles
-end-to-end request results (prompt phase + generation phase, paper
-Section 2.1).
+a given machine, and :meth:`PerfEngine.context_durations`, re-pricing the
+few tasks of that DAG whose work reads the context.
+:meth:`PerfEngine.simulate_iteration` builds such a DAG and schedules it on
+the GPU/CPU/PCIe resources by the longest-path pass of
+:mod:`repro.hardware.events`; what-if knobs, attribution and tracing price
+through it.  :meth:`PerfEngine.price_iteration` is the serving cost cache's
+entry point: a miss that needs only a makespan re-prices the context tasks
+of a memoized DAG shape instead of building the DAG again.  The base class
+also assembles end-to-end request results (prompt phase + generation
+phase, paper Section 2.1).
 
 Generation-phase cost varies (slowly, via the KV cache) with context
 length, so :meth:`simulate_request` samples the per-token DAG at a few
@@ -19,6 +23,7 @@ simulating all ``output_len`` DAGs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,7 +31,13 @@ import numpy as np
 from repro.engine.plan import DeploymentPlan
 from repro.engine.results import RequestResult
 from repro.hardware.costmodel import CostModel, OpWork
-from repro.hardware.events import EventSimulator, ScheduleResult, SimTask
+from repro.hardware.events import (
+    ScheduleResult,
+    SimTask,
+    dag_arrays,
+    forward_pass,
+    longest_path,
+)
 from repro.units import Bytes, Flops, Ratio, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -76,16 +87,52 @@ def transfer_task(
     )
 
 
+class _PlanMemo:
+    """What pricing under one plan may reuse: split tables and DAG shapes.
+
+    ``splits`` maps a row count to the plan's expected per-layer
+    ``(ag, ac, mg, mc)`` active-neuron counts, an ``(n_layers, 4)`` float
+    array.  ``shapes`` maps ``(machine, n_tokens, batch)`` to the DAG's
+    topology and its task durations, one float array per shape;
+    ``topologies`` holds each distinct topology once, so shapes share it.
+    """
+
+    __slots__ = ("plan", "splits", "topologies", "shapes")
+
+    def __init__(self, plan: DeploymentPlan) -> None:
+        self.plan = plan
+        self.splits: dict[int, np.ndarray] = {}
+        self.topologies: dict[_Topology, _Topology] = {}
+        self.shapes: dict[tuple, tuple[_Topology, np.ndarray]] = {}
+
+
+@dataclass(frozen=True)
+class _Topology:
+    """An iteration DAG without durations: per task, its dependencies and
+    resource as list indices; ``context`` lists the tasks whose work reads
+    the context, in DAG order."""
+
+    deps: tuple[tuple[int, ...], ...]
+    resources: tuple[int, ...]
+    context: tuple[int, ...]
+
+
 class PerfEngine(ABC):
     """An inference engine whose execution is costed on the simulator."""
 
     name = "base"
+    #: Tags of the tasks whose work reads ``ctx_len``.  The DAG's structure
+    #: and every other task's duration depend on (plan, machine, n_tokens,
+    #: batch) alone.  Empty for an engine that cannot re-price them, which
+    #: then builds a fresh DAG on every cost-cache miss.
+    context_tags: tuple[str, ...] = ()
 
     def __init__(self, plan: DeploymentPlan) -> None:
         self.plan = plan
         self.machine = plan.machine
         self.model = plan.model
         self.dtype = plan.dtype
+        self._memo = _PlanMemo(plan)
 
     # ---- to implement --------------------------------------------------------
 
@@ -113,9 +160,54 @@ class PerfEngine(ABC):
                 expected values are used (deterministic).
         """
 
+    def context_durations(
+        self, machine: "MachineSpec", ctx_len: int, n_tokens: int, batch: int
+    ) -> list[Seconds]:
+        """Durations of the tasks tagged :attr:`context_tags`, in DAG order.
+
+        Each must equal the duration :meth:`iteration_tasks` gives that
+        task (expected activations, no ``rng``): both price the same work
+        formula with :meth:`CostModel.op_cost`.
+        """
+        raise NotImplementedError(f"{type(self).__name__} cannot re-price context tasks")
+
     def gpu_load_share(self, batch: int = 1) -> Ratio:
         """Fraction of neuron computation served by the GPU (Figure 12)."""
         return self.plan.gpu_neuron_load_share(batch)
+
+    # ---- plan-keyed reuse ---------------------------------------------------------
+
+    def _plan_memo(self) -> _PlanMemo:
+        """This engine's memo of its current plan.
+
+        Keyed on the plan object: a copy of the engine given another plan
+        (the KV-shrink re-plan) starts its own memo instead of pricing the
+        new plan with the old plan's splits.
+        """
+        memo = self._memo
+        if memo.plan is not self.plan:
+            memo = self._memo = _PlanMemo(self.plan)
+        return memo
+
+    def _splits(self, rows: int) -> list[list[float]]:
+        """Expected ``[ag, ac, mg, mc]`` of every layer at ``rows`` token rows.
+
+        The (attention GPU, attention CPU, MLP GPU, MLP CPU) active-neuron
+        counts of :meth:`DeploymentPlan.attn_active_split` and
+        :meth:`~DeploymentPlan.mlp_active_split`, computed once per layer
+        and row count for this engine's plan.
+        """
+        memo = self._plan_memo()
+        table = memo.splits.get(rows)
+        if table is None:
+            plan = self.plan
+            table = memo.splits[rows] = np.array(
+                [
+                    plan.attn_active_split(li, rows) + plan.mlp_active_split(li, rows)
+                    for li in range(self.model.n_layers)
+                ]
+            )
+        return table.tolist()
 
     # ---- simulation -----------------------------------------------------------
 
@@ -133,7 +225,9 @@ class PerfEngine(ABC):
     ) -> ScheduleResult:
         """Schedule one iteration's DAG; returns the timing result.
 
-        ``machine`` prices this one iteration on a spec other than the
+        The schedule is the list scheduler's, built by one longest-path
+        pass (:func:`~repro.hardware.events.longest_path`).  ``machine``
+        prices this one iteration on a spec other than the
         plan's (the default): a fault epoch's perturbed machine (see
         :class:`~repro.serving.continuous.IterationCostCache`) or a
         what-if knob.  It is handed to :meth:`iteration_tasks`; the engine
@@ -155,7 +249,7 @@ class PerfEngine(ABC):
         tasks = self.iteration_tasks(
             self.machine if machine is None else machine, ctx_len, n_tokens, batch, rng
         )
-        result = EventSimulator(list(RESOURCES)).run(tasks)
+        result = longest_path(tasks, RESOURCES)
         if validate:
             # Imported lazily: repro.check is diagnostic tooling, and the
             # default (validate=False) path must not pay for it.
@@ -165,6 +259,59 @@ class PerfEngine(ABC):
         if tracer is not None and tracer.enabled:
             tracer.add_schedule(result, t0=trace_t0, iteration=trace_iteration)
         return result
+
+    def price_iteration(
+        self,
+        ctx_len: int,
+        n_tokens: int,
+        batch: int = 1,
+        machine: "MachineSpec | None" = None,
+        keep_schedule: bool = True,
+    ) -> tuple[Seconds, ScheduleResult | None]:
+        """Makespan of one iteration with expected activations, and its
+        schedule when ``keep_schedule`` asks for it.
+
+        The serving cost cache prices every miss here.  A kept schedule
+        comes from :meth:`simulate_iteration`.  Without one, the iteration
+        is priced as a shape: the first miss of each (plan, ``machine``,
+        ``n_tokens``, ``batch``) builds the DAG and memoizes its topology
+        and durations, and later misses re-price only the context tasks
+        (:meth:`context_durations`) before one
+        :func:`~repro.hardware.events.forward_pass`.  Either way the
+        makespan is bit for bit the list scheduler's.
+        """
+        if keep_schedule:
+            result = self.simulate_iteration(ctx_len, n_tokens, batch, machine=machine)
+            return result.makespan, result
+        machine = self.machine if machine is None else machine
+        memo = self._plan_memo()
+        key = (machine, n_tokens, batch)
+        shape = memo.shapes.get(key)
+        if shape is None:
+            tasks = self.iteration_tasks(machine, ctx_len, n_tokens, batch)
+            durations = [t.duration for t in tasks]
+            arrays = dag_arrays(tasks, RESOURCES)
+            if arrays is not None and self.context_tags:
+                context = tuple(
+                    i for i, t in enumerate(tasks) if t.tag in self.context_tags
+                )
+                topology = _Topology(*arrays, context)
+                topology = memo.topologies.setdefault(topology, topology)
+                memo.shapes[key] = (topology, np.array(durations))
+        else:
+            topology, stored = shape
+            stored.put(
+                topology.context,
+                self.context_durations(machine, ctx_len, n_tokens, batch),
+            )
+            durations = stored.tolist()
+            arrays = topology.deps, topology.resources
+        times = None if arrays is None else forward_pass(*arrays, durations)
+        if times is None:
+            # The list scheduler's answer, or its error.
+            result = self.simulate_iteration(ctx_len, n_tokens, batch, machine=machine)
+            return result.makespan, None
+        return max(times[1], default=0.0), None
 
     def simulate_request(
         self,
@@ -189,6 +336,8 @@ class PerfEngine(ABC):
         """
         if input_len <= 0 or output_len <= 0 or batch <= 0:
             raise ValueError("input_len, output_len, batch must be positive")
+        if decode_samples < 1:
+            raise ValueError("decode_samples must be >= 1")
         prompt = self.simulate_iteration(
             0, input_len, batch, rng, tracer=tracer, trace_t0=trace_t0, trace_iteration=0
         )

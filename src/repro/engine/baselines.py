@@ -28,10 +28,11 @@ import numpy as np
 
 from repro.engine.base import PerfEngine, op_task, transfer_task
 from repro.engine.plan import DeploymentPlan
-from repro.hardware.costmodel import OpWork
+from repro.hardware.costmodel import CostModel, OpWork
 from repro.hardware.events import SimTask
 from repro.hardware.memory import OutOfMemoryError
-from repro.hardware.spec import MachineSpec
+from repro.hardware.spec import DeviceSpec, MachineSpec
+from repro.units import Bytes, Flops, Seconds
 
 __all__ = [
     "LlamaCppEngine",
@@ -40,6 +41,88 @@ __all__ = [
     "VllmEngine",
     "LayerwiseSparseEngine",
 ]
+
+
+class _LayerEngine(PerfEngine):
+    """An engine that runs each layer as one task folding in its KV work.
+
+    Every layer task reads the context, so :meth:`context_durations`
+    re-prices them all, with the :meth:`_layer_work` formula their DAG
+    uses.
+    """
+
+    def _layer_work(
+        self,
+        weight_flops: Flops,
+        weight_bytes: Bytes,
+        ctx_len: int,
+        n_tokens: int,
+        batch: int,
+    ) -> OpWork:
+        """One layer's work: its weights plus attention over the KV cache."""
+        act = self._activation_bytes(n_tokens * batch)
+        return OpWork(
+            flops=weight_flops + self._kv_flops(ctx_len, n_tokens, batch),
+            bytes_read=weight_bytes + self._kv_read_bytes(ctx_len, n_tokens, batch) + act,
+            bytes_written=act,
+        )
+
+    def _dense_weights(self, rows: int) -> tuple[Flops, Bytes]:
+        """Weight FLOPs and bytes of one dense layer over ``rows`` token rows."""
+        model = self.model
+        return 2.0 * model.params_per_layer * rows, self.dtype.nbytes(model.params_per_layer)
+
+    def _layer_weights(self, rows: int) -> list[tuple[Flops, Bytes]]:
+        """Expected weight FLOPs and bytes of every layer."""
+        return [self._dense_weights(rows)] * self.model.n_layers
+
+    def _layer_devices(self, machine: MachineSpec) -> list[DeviceSpec]:
+        """The device running each layer."""
+        return [machine.gpu] * self.model.n_layers
+
+    def context_durations(
+        self, machine: MachineSpec, ctx_len: int, n_tokens: int, batch: int
+    ) -> list[Seconds]:
+        return [
+            CostModel.op_cost(
+                self._layer_work(flops, nbytes, ctx_len, n_tokens, batch), device
+            ).duration
+            for (flops, nbytes), device in zip(
+                self._layer_weights(n_tokens * batch), self._layer_devices(machine)
+            )
+        ]
+
+
+class _SparseLayerEngine(_LayerEngine):
+    """A layer engine that reads and computes predicted-active neurons only."""
+
+    def _sparse_weights(
+        self, split: list[float], per_row: list[float], rows: int
+    ) -> tuple[Flops, Bytes]:
+        """Weight FLOPs and bytes of one layer's predicted-active neurons.
+
+        ``split`` holds the layer's ``(ag, ac, mg, mc)`` active counts over
+        all rows (the weights read once), ``per_row`` those of one row
+        (FLOPs scale with per-row activations times the row count).
+        """
+        model, dtype = self.model, self.dtype
+        ag, ac, mg, mc = split
+        ag1, ac1, mg1, mc1 = per_row
+        flops = (
+            2.0
+            * ((ag1 + ac1) * model.attn_neuron_params + (mg1 + mc1) * model.mlp_neuron_params)
+            * rows
+        )
+        nbytes = (ag + ac) * model.attn_neuron_bytes(dtype) + (mg + mc) * model.mlp_neuron_bytes(
+            dtype
+        )
+        return flops, nbytes
+
+    def _layer_weights(self, rows: int) -> list[tuple[Flops, Bytes]]:
+        return [
+            self._sparse_weights(split, per_row, rows)
+            for split, per_row in zip(self._splits(rows), self._splits(1))
+        ]
 
 
 class _LayerSplitMixin:
@@ -61,24 +144,20 @@ class _LayerSplitMixin:
         n = int(budget // (layer_bytes + kv_per_layer))
         return max(0, min(n, plan.model.n_layers))
 
+    def _split_devices(self, machine: MachineSpec) -> list[DeviceSpec]:
+        """CPU layers first, then GPU layers (Figure 3b)."""
+        n_gpu = self.gpu_layer_count()
+        return [machine.cpu] * (self.plan.model.n_layers - n_gpu) + [machine.gpu] * n_gpu
 
-class LlamaCppEngine(_LayerSplitMixin, PerfEngine):
+
+class LlamaCppEngine(_LayerSplitMixin, _LayerEngine):
     """Dense layer-level hybrid offloading (paper Figure 3b)."""
 
     name = "llama.cpp"
+    context_tags = ("cpu-dense", "gpu-dense")
 
-    def _layer_work(self, device_kind: str, ctx: int, n_tok: int, batch: int) -> OpWork:
-        model, dtype = self.model, self.dtype
-        rows = n_tok * batch
-        act = self._activation_bytes(rows)
-        return OpWork(
-            flops=2.0 * model.params_per_layer * rows
-            + self._kv_flops(ctx, n_tok, batch),
-            bytes_read=dtype.nbytes(model.params_per_layer)
-            + self._kv_read_bytes(ctx, n_tok, batch)
-            + act,
-            bytes_written=act,
-        )
+    def _layer_devices(self, machine: MachineSpec) -> list[DeviceSpec]:
+        return self._split_devices(machine)
 
     def iteration_tasks(
         self,
@@ -91,6 +170,7 @@ class LlamaCppEngine(_LayerSplitMixin, PerfEngine):
         n_gpu = self.gpu_layer_count()
         n_cpu = self.model.n_layers - n_gpu
         rows = n_tokens * batch
+        work = self._layer_work(*self._dense_weights(rows), ctx_len, n_tokens, batch)
         tasks: list[SimTask] = []
         prev = ""
         # CPU processes its layers first (Figure 3b) ...
@@ -101,7 +181,7 @@ class LlamaCppEngine(_LayerSplitMixin, PerfEngine):
                     name,
                     "cpu",
                     machine.cpu,
-                    self._layer_work("cpu", ctx_len, n_tokens, batch),
+                    work,
                     deps=(prev,) if prev else (),
                     tag="cpu-dense",
                 )
@@ -123,7 +203,7 @@ class LlamaCppEngine(_LayerSplitMixin, PerfEngine):
                     name,
                     "gpu",
                     machine.gpu,
-                    self._layer_work("gpu", ctx_len, n_tokens, batch),
+                    work,
                     deps=(prev,) if prev else (),
                     tag="gpu-dense",
                 )
@@ -137,10 +217,11 @@ class LlamaCppEngine(_LayerSplitMixin, PerfEngine):
         return self.gpu_layer_count() / self.model.n_layers
 
 
-class FlexGenEngine(_LayerSplitMixin, PerfEngine):
+class FlexGenEngine(_LayerSplitMixin, _LayerEngine):
     """GPU-centric offloading: stream non-resident layers every iteration."""
 
     name = "flexgen"
+    context_tags = ("gpu-dense",)
 
     def iteration_tasks(
         self,
@@ -150,11 +231,10 @@ class FlexGenEngine(_LayerSplitMixin, PerfEngine):
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        model, dtype = self.model, self.dtype
+        model = self.model
         n_resident = self.gpu_layer_count()
-        rows = n_tokens * batch
-        act = self._activation_bytes(rows)
-        layer_bytes = dtype.nbytes(model.params_per_layer)
+        weight_flops, layer_bytes = self._dense_weights(n_tokens * batch)
+        work = self._layer_work(weight_flops, layer_bytes, ctx_len, n_tokens, batch)
         tasks: list[SimTask] = []
         prev = ""
         prev_xfer = ""
@@ -173,12 +253,6 @@ class FlexGenEngine(_LayerSplitMixin, PerfEngine):
                 prev_xfer = xfer
                 deps.append(xfer)
             name = f"L{li}.gpu"
-            work = OpWork(
-                flops=2.0 * model.params_per_layer * rows
-                + self._kv_flops(ctx_len, n_tokens, batch),
-                bytes_read=layer_bytes + self._kv_read_bytes(ctx_len, n_tokens, batch) + act,
-                bytes_written=act,
-            )
             tasks.append(
                 op_task(
                     name,
@@ -197,10 +271,11 @@ class FlexGenEngine(_LayerSplitMixin, PerfEngine):
         return 1.0  # all computation on the GPU; weights stream to it
 
 
-class DejaVuUmEngine(_LayerSplitMixin, PerfEngine):
+class DejaVuUmEngine(_LayerSplitMixin, _SparseLayerEngine):
     """Sparse GPU inference with Unified-Memory weight fetching."""
 
     name = "dejavu-um"
+    context_tags = ("gpu-neuron",)
 
     def iteration_tasks(
         self,
@@ -210,23 +285,24 @@ class DejaVuUmEngine(_LayerSplitMixin, PerfEngine):
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        model, dtype = self.model, self.dtype
+        model = self.model
         n_resident = self.gpu_layer_count()
         rows = n_tokens * batch
         act = self._activation_bytes(rows)
-        mlp_nb = model.mlp_neuron_bytes(dtype)
-        attn_nb = model.attn_neuron_bytes(dtype)
+        expected = self._splits(rows) if rng is None else None
+        per_row = self._splits(1)
         tasks: list[SimTask] = []
         prev = ""
         prev_fetch = ""
         for li in range(model.n_layers):
             if rng is None:
-                ag, ac = self.plan.attn_active_split(li, rows)
-                mg, mc = self.plan.mlp_active_split(li, rows)
+                split = expected[li]
             else:
-                ag, ac = self.plan.sampled_attn_split(li, rng, rows)
-                mg, mc = self.plan.sampled_mlp_split(li, rng, rows)
-            active_bytes = (ag + ac) * attn_nb + (mg + mc) * mlp_nb
+                split = [
+                    *self.plan.sampled_attn_split(li, rng, rows),
+                    *self.plan.sampled_mlp_split(li, rng, rows),
+                ]
+            weight_flops, active_bytes = self._sparse_weights(split, per_row[li], rows)
             pred_bytes = self.plan.predictor_bytes[li]
 
             pred = f"L{li}.pred"
@@ -258,24 +334,12 @@ class DejaVuUmEngine(_LayerSplitMixin, PerfEngine):
                 prev_fetch = fetch
                 deps.append(fetch)
             name = f"L{li}.gpu"
-            ag1, ac1 = self.plan.attn_active_split(li, 1)
-            mg1, mc1 = self.plan.mlp_active_split(li, 1)
-            work = OpWork(
-                flops=2.0
-                * ((ag1 + ac1) * model.attn_neuron_params + (mg1 + mc1) * model.mlp_neuron_params)
-                * rows
-                + self._kv_flops(ctx_len, n_tokens, batch),
-                bytes_read=active_bytes
-                + self._kv_read_bytes(ctx_len, n_tokens, batch)
-                + act,
-                bytes_written=act,
-            )
             tasks.append(
                 op_task(
                     name,
                     "gpu",
                     machine.gpu,
-                    work,
+                    self._layer_work(weight_flops, active_bytes, ctx_len, n_tokens, batch),
                     deps=tuple(deps),
                     tag="gpu-neuron",
                 )
@@ -288,10 +352,11 @@ class DejaVuUmEngine(_LayerSplitMixin, PerfEngine):
         return 1.0
 
 
-class VllmEngine(PerfEngine):
+class VllmEngine(_LayerEngine):
     """Full-GPU dense serving (the A100 reference of Figure 18)."""
 
     name = "vllm"
+    context_tags = ("gpu-dense",)
 
     def __init__(self, plan: DeploymentPlan) -> None:
         super().__init__(plan)
@@ -315,20 +380,12 @@ class VllmEngine(PerfEngine):
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        model, dtype = self.model, self.dtype
-        rows = n_tokens * batch
-        act = self._activation_bytes(rows)
+        work = self._layer_work(
+            *self._dense_weights(n_tokens * batch), ctx_len, n_tokens, batch
+        )
         tasks: list[SimTask] = []
         prev = ""
-        for li in range(model.n_layers):
-            work = OpWork(
-                flops=2.0 * model.params_per_layer * rows
-                + self._kv_flops(ctx_len, n_tokens, batch),
-                bytes_read=dtype.nbytes(model.params_per_layer)
-                + self._kv_read_bytes(ctx_len, n_tokens, batch)
-                + act,
-                bytes_written=act,
-            )
+        for li in range(self.model.n_layers):
             name = f"L{li}.gpu"
             tasks.append(
                 op_task(
@@ -348,7 +405,7 @@ class VllmEngine(PerfEngine):
         return 1.0
 
 
-class LayerwiseSparseEngine(_LayerSplitMixin, PerfEngine):
+class LayerwiseSparseEngine(_LayerSplitMixin, _SparseLayerEngine):
     """"+PO" ablation: predictors + sparse operators, layer-level split.
 
     Layers keep llama.cpp's placement; each device computes only its
@@ -357,6 +414,10 @@ class LayerwiseSparseEngine(_LayerSplitMixin, PerfEngine):
     """
 
     name = "+PO"
+    context_tags = ("cpu-neuron", "gpu-neuron")
+
+    def _layer_devices(self, machine: MachineSpec) -> list[DeviceSpec]:
+        return self._split_devices(machine)
 
     def iteration_tasks(
         self,
@@ -366,27 +427,26 @@ class LayerwiseSparseEngine(_LayerSplitMixin, PerfEngine):
         batch: int,
         rng: np.random.Generator | None = None,
     ) -> list[SimTask]:
-        model, dtype = self.model, self.dtype
+        model = self.model
         n_gpu = self.gpu_layer_count()
         n_cpu = model.n_layers - n_gpu
         rows = n_tokens * batch
         act = self._activation_bytes(rows)
-        mlp_nb = model.mlp_neuron_bytes(dtype)
-        attn_nb = model.attn_neuron_bytes(dtype)
+        expected = self._splits(rows) if rng is None else None
+        per_row = self._splits(1)
         tasks: list[SimTask] = []
         prev = ""
 
         def layer_tasks(li: int, resource: str, device) -> None:
             nonlocal prev
             if rng is None:
-                ag, ac = self.plan.attn_active_split(li, rows)
-                mg, mc = self.plan.mlp_active_split(li, rows)
+                split = expected[li]
             else:
-                ag, ac = self.plan.sampled_attn_split(li, rng, rows)
-                mg, mc = self.plan.sampled_mlp_split(li, rng, rows)
-            active_attn, active_mlp = ag + ac, mg + mc
-            ag1, ac1 = self.plan.attn_active_split(li, 1)
-            mg1, mc1 = self.plan.mlp_active_split(li, 1)
+                split = [
+                    *self.plan.sampled_attn_split(li, rng, rows),
+                    *self.plan.sampled_mlp_split(li, rng, rows),
+                ]
+            weight_flops, weight_bytes = self._sparse_weights(split, per_row[li], rows)
             pred_bytes = self.plan.predictor_bytes[li]
             pred = f"L{li}.pred"
             tasks.append(
@@ -400,23 +460,12 @@ class LayerwiseSparseEngine(_LayerSplitMixin, PerfEngine):
                 )
             )
             name = f"L{li}.{resource}"
-            work = OpWork(
-                flops=2.0
-                * ((ag1 + ac1) * model.attn_neuron_params + (mg1 + mc1) * model.mlp_neuron_params)
-                * rows
-                + self._kv_flops(ctx_len, n_tokens, batch),
-                bytes_read=active_attn * attn_nb
-                + active_mlp * mlp_nb
-                + self._kv_read_bytes(ctx_len, n_tokens, batch)
-                + act,
-                bytes_written=act,
-            )
             tasks.append(
                 op_task(
                     name,
                     resource,
                     device,
-                    work,
+                    self._layer_work(weight_flops, weight_bytes, ctx_len, n_tokens, batch),
                     deps=(pred,),
                     tag=f"{resource}-neuron",
                 )

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.engine.base import PerfEngine, op_task, transfer_task
-from repro.hardware.costmodel import OpWork
+from repro.hardware.costmodel import CostModel, OpWork
+from repro.units import Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports; tasks are built
     # exclusively through the op_task/transfer_task pricing constructors.
@@ -42,10 +43,35 @@ class PowerInferEngine(PerfEngine):
     """
 
     name = "powerinfer"
+    context_tags = ("kv",)
 
     def __init__(self, plan, selective_sync: bool = True) -> None:
         super().__init__(plan)
         self.selective_sync = selective_sync
+
+    def _attn_ctx_work(
+        self, ctx_len: int, n_tokens: int, batch: int, active_heads: float
+    ) -> OpWork:
+        """Attention over one layer's KV cache, for the active heads only.
+
+        The one task of a layer whose work reads the context.
+        """
+        head_frac = min(active_heads / self.model.n_heads, 1.0)
+        return OpWork(
+            flops=self._kv_flops(ctx_len, n_tokens, batch) * head_frac,
+            bytes_read=self._kv_read_bytes(ctx_len, n_tokens, batch) * head_frac,
+            bytes_written=self._activation_bytes(n_tokens * batch),
+        )
+
+    def context_durations(
+        self, machine: "MachineSpec", ctx_len: int, n_tokens: int, batch: int
+    ) -> list[Seconds]:
+        return [
+            CostModel.op_cost(
+                self._attn_ctx_work(ctx_len, n_tokens, batch, ag + ac), machine.cpu
+            ).duration
+            for ag, ac, _, _ in self._splits(n_tokens * batch)
+        ]
 
     def iteration_tasks(
         self,
@@ -66,19 +92,19 @@ class PowerInferEngine(PerfEngine):
 
         tasks: list[SimTask] = []
         prev_out = ""  # name of the task producing the previous layer output
+        expected = self._splits(rows) if rng is None else None
+        per_row = self._splits(1)
 
         for li in range(model.n_layers):
             # Weight BYTES are governed by the union of activations across
             # all token rows (weights read once per iteration); FLOPs scale
             # with per-row activations times the row count.
             if rng is None:
-                ag, ac = self.plan.attn_active_split(li, rows)
-                mg, mc = self.plan.mlp_active_split(li, rows)
+                ag, ac, mg, mc = expected[li]
             else:
                 ag, ac = self.plan.sampled_attn_split(li, rng, rows)
                 mg, mc = self.plan.sampled_mlp_split(li, rng, rows)
-            ag1, ac1 = self.plan.attn_active_split(li, 1)
-            mg1, mc1 = self.plan.mlp_active_split(li, 1)
+            ag1, ac1, mg1, mc1 = per_row[li]
             deps_in = (prev_out,) if prev_out else ()
 
             # -- activation predictors (GPU-resident, Section 5.1) --------
@@ -132,20 +158,13 @@ class PowerInferEngine(PerfEngine):
             # lives (Section 7) and attention-over-context runs.
             qkv_xfer = f"L{li}.qkv_xfer"
             tasks.append(transfer_task(qkv_xfer, link, act, deps=(attn_gpu,)))
-            active_head_frac = min((ag + ac) / model.n_heads, 1.0)
             attn_ctx = f"L{li}.attn_ctx"
             tasks.append(
                 op_task(
                     attn_ctx,
                     "cpu",
                     cpu,
-                    OpWork(
-                        flops=self._kv_flops(ctx_len, n_tokens, batch)
-                        * active_head_frac,
-                        bytes_read=self._kv_read_bytes(ctx_len, n_tokens, batch)
-                        * active_head_frac,
-                        bytes_written=act,
-                    ),
+                    self._attn_ctx_work(ctx_len, n_tokens, batch, ag + ac),
                     deps=tuple(attn_deps[1:]) + (qkv_xfer,),
                     tag="kv",
                 )

@@ -129,6 +129,8 @@ class SpeculativeEngine:
         """
         if input_len <= 0 or output_len <= 0:
             raise ValueError("input_len and output_len must be positive")
+        if decode_samples < 1:
+            raise ValueError("decode_samples must be >= 1")
         prompt = self.target.simulate_iteration(
             0, input_len, batch, rng, tracer=tracer, trace_t0=trace_t0, trace_iteration=0
         )

@@ -13,6 +13,16 @@ finished; ready tasks start in order of their earliest start time, ties
 broken by insertion order (the order in which they became ready, which for
 tasks without dependencies is their order in the task list).  That makes
 the simulation fully deterministic.
+
+Engine DAGs never need the list scheduler's resource bookkeeping: every
+engine lists its tasks in dependency order, and on every resource each task
+is a descendant of the previous one (the ``resource-chain`` rule of
+:mod:`repro.check.schedule`).  A task then never waits for its device, so
+its start is the longest path to it.  :func:`forward_pass` computes exactly
+that in one walk over the list, and :func:`longest_path` builds from it the
+:class:`ScheduleResult` the list scheduler would build, bit for bit.  Any
+DAG the walk cannot vouch for goes to :class:`EventSimulator`, which stays
+the fall-back and the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -20,14 +30,23 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.units import Ratio, Seconds
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.hardware.costmodel import TaskCost
 
-__all__ = ["Resource", "SimTask", "TaskResult", "ScheduleResult", "EventSimulator"]
+__all__ = [
+    "Resource",
+    "SimTask",
+    "TaskResult",
+    "ScheduleResult",
+    "EventSimulator",
+    "dag_arrays",
+    "forward_pass",
+    "longest_path",
+]
 
 
 @dataclass
@@ -257,3 +276,121 @@ class EventSimulator:
         return ScheduleResult(
             tasks=results, makespan=makespan, busy_time=busy, tag_time=tag_time
         )
+
+
+# ---- the longest-path pass --------------------------------------------------------
+
+
+def dag_arrays(
+    tasks: Sequence[SimTask], resources: Sequence[str]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+    """Each task's dependencies and resource as list indices.
+
+    Dependencies are deduplicated in declaration order, as the list
+    scheduler records them.  Returns ``None`` for a DAG the list scheduler
+    would reject (a duplicate name, an unknown dependency or resource), so
+    that :meth:`EventSimulator.run` reports it.
+    """
+    index: dict[str, int] = {}
+    for i, task in enumerate(tasks):
+        index.setdefault(task.name, i)
+    if len(index) != len(tasks):
+        return None
+    slot = {name: k for k, name in enumerate(resources)}
+    try:
+        deps = tuple(tuple(index[d] for d in dict.fromkeys(t.deps)) for t in tasks)
+        where = tuple(slot[t.resource] for t in tasks)
+    except KeyError:
+        return None
+    return deps, where
+
+
+def forward_pass(
+    deps: Sequence[tuple[int, ...]],
+    resources: Sequence[int],
+    durations: Sequence[float],
+) -> tuple[list[float], list[float]] | None:
+    """Start and end of every task by one walk in list order.
+
+    Each task starts at the latest end of its dependencies and ends
+    ``duration`` later.  Returns ``None`` when that may differ from
+    :meth:`EventSimulator.run`: a task listed before one of its
+    dependencies, a task that would start before its resource is free, or
+    a task that ends the instant it starts (a zero-length task can tie
+    with another in the list scheduler's ready queue).  Otherwise every
+    task finds its resource free, and the list scheduler's starts and ends
+    are these, bit for bit.
+    """
+    n = len(durations)
+    starts = [0.0] * n
+    ends = [0.0] * n
+    free: dict[int, float] = {}
+    for i, (task_deps, resource, duration) in enumerate(zip(deps, resources, durations)):
+        start = 0.0
+        for j in task_deps:
+            if j >= i:
+                return None
+            end = ends[j]
+            if end > start:
+                start = end
+        if start < free.get(resource, 0.0):
+            return None
+        end = start + duration
+        if not end > start:
+            return None
+        starts[i] = start
+        ends[i] = end
+        free[resource] = end
+    return starts, ends
+
+
+def longest_path(tasks: list[SimTask], resources: Sequence[str]) -> ScheduleResult:
+    """What ``EventSimulator(resources).run(tasks)`` returns, by one
+    :func:`forward_pass` where that is exact.
+
+    The result is built in the list scheduler's own order: tasks enter
+    ``ScheduleResult.tasks`` in the order its ready queue would pop them
+    (earliest start, then the order they became ready), and ``busy_time``
+    and ``tag_time`` sum the durations in that order.  A DAG the pass
+    cannot vouch for is handed to :meth:`EventSimulator.run`.
+    """
+    arrays = dag_arrays(tasks, resources)
+    times = None if arrays is None else forward_pass(*arrays, [t.duration for t in tasks])
+    if times is None:
+        return EventSimulator(list(resources)).run(tasks)
+    deps, _ = arrays
+    starts, ends = times
+
+    indegree = [len(d) for d in deps]
+    dependents: list[list[int]] = [[] for _ in tasks]
+    for i, task_deps in enumerate(deps):
+        for j in task_deps:
+            dependents[j].append(i)
+    ready = [(0.0, k, i) for k, i in enumerate(i for i, d in enumerate(indegree) if d == 0)]
+    counter = itertools.count(len(ready))
+
+    results: dict[str, TaskResult] = {}
+    busy = {name: 0.0 for name in resources}
+    tag_time: dict[str, float] = {}
+    while ready:
+        _, _, i = heapq.heappop(ready)
+        task = tasks[i]
+        results[task.name] = TaskResult(
+            name=task.name,
+            resource=task.resource,
+            start=starts[i],
+            end=ends[i],
+            tag=task.tag,
+            cost=task.cost,
+            deps=tuple(dict.fromkeys(task.deps)),
+        )
+        busy[task.resource] += task.duration
+        if task.tag:
+            tag_time[task.tag] = tag_time.get(task.tag, 0.0) + task.duration
+        for child in dependents[i]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                heapq.heappush(ready, (starts[child], next(counter), child))
+    return ScheduleResult(
+        tasks=results, makespan=max(ends, default=0.0), busy_time=busy, tag_time=tag_time
+    )

@@ -1,8 +1,8 @@
 """The serving loop: iteration-level scheduling over a performance engine.
 
 Every serving discipline in :mod:`repro.serving` runs through this one
-loop.  The server advances one model iteration at a time via
-:meth:`PerfEngine.simulate_iteration`, requests join the running batch the
+loop.  The server advances one model iteration at a time, priced by
+:meth:`PerfEngine.price_iteration`; requests join the running batch the
 moment a slot and KV memory are available, and leave the instant their last
 token is emitted — the iteration-level scheduling loop of Orca/vLLM-class
 serving systems.  The classic baselines are configurations of it:
@@ -22,7 +22,8 @@ Pieces that cooperate:
 * **Iteration cost cache** — iteration latency is deterministic in
   ``(ctx_len, n_tokens, batch)`` *within one fault epoch*; context lengths
   are bucketed so streams of thousands of requests hit a few hundred
-  engine simulations.
+  engine pricings, and an untraced miss re-prices only the context tasks
+  of a memoized DAG shape (:meth:`PerfEngine.price_iteration`).
 * **Fault tolerance** — with a :class:`~repro.hardware.faults.FaultSchedule`
   attached, iteration costs become time-varying (PCIe/GPU/CPU degradation
   windows), device stalls abort in-flight work (bounded retry with
@@ -190,13 +191,17 @@ class IterationCostCache:
         epoch = self.faults.epoch(now) if self.faults is not None else 0
         return (self._bucket(ctx_len), n_tokens, batch, epoch)
 
-    def _price(self, key: tuple[int, int, int, int], now: Seconds) -> ScheduleResult:
-        """Schedule ``key``'s iteration on the machine as the faults at
-        ``now`` leave it."""
+    def _price(
+        self, key: tuple[int, int, int, int], now: Seconds, keep_schedule: bool
+    ) -> tuple[Seconds, ScheduleResult | None]:
+        """Price ``key``'s iteration on the machine as the faults at ``now``
+        leave it; the schedule too when ``keep_schedule`` asks for it."""
         machine = None
         if self.faults is not None:
             machine = self.faults.perturbed_machine(self.engine.machine, now)
-        return self.engine.simulate_iteration(*key[:3], machine=machine)
+        return self.engine.price_iteration(
+            *key[:3], machine=machine, keep_schedule=keep_schedule
+        )
 
     def cost(
         self,
@@ -211,14 +216,14 @@ class IterationCostCache:
         ``now`` selects the fault epoch when a schedule is attached (and
         is ignored otherwise).  ``keep_schedule`` keeps the schedule a
         miss prices, so a traced session's :meth:`schedule` replays it
-        instead of pricing the iteration again; untraced sessions keep
-        makespans only.
+        instead of pricing the iteration again; an untraced miss asks the
+        engine for the makespan only.
         """
         key = self._key(ctx_len, n_tokens, batch, now)
         if key not in self._cache:
-            sched = self._price(key, now)
-            self._cache[key] = sched.makespan
-            if keep_schedule:
+            makespan, sched = self._price(key, now, keep_schedule)
+            self._cache[key] = makespan
+            if sched is not None:
                 self._schedules[key] = sched
         return self._cache[key]
 
@@ -236,8 +241,9 @@ class IterationCostCache:
         key = self._key(ctx_len, n_tokens, batch, now)
         sched = self._schedules.get(key)
         if sched is None:
-            sched = self._schedules[key] = self._price(key, now)
-            self._cache.setdefault(key, sched.makespan)
+            makespan, sched = self._price(key, now, keep_schedule=True)
+            self._schedules[key] = sched
+            self._cache.setdefault(key, makespan)
         return sched
 
     def __len__(self) -> int:

@@ -613,6 +613,8 @@ def request_energy(
     model = DEFAULT_POWER_MODEL if model is None else model
     if input_len <= 0 or output_len <= 0 or batch <= 0:
         raise ValueError("input_len, output_len, batch must be positive")
+    if decode_samples < 1:
+        raise ValueError("decode_samples must be >= 1")
     prompt = engine.simulate_iteration(0, input_len, batch)
     dynamic = schedule_energy(prompt, engine.machine, model=model).dynamic_joules
 

@@ -128,6 +128,16 @@ class TestCriticalPath:
         assert cp.segments == []
         assert cp.makespan == 0.0
 
+    def test_resource_gate_on_a_dag_that_breaks_the_chain_rule(self):
+        """Engine DAGs keep the ``resource-chain`` rule, so no task there
+        waits for its device; two independent tasks on one device do."""
+        result = EventSimulator(["gpu"]).run(
+            [SimTask("a", "gpu", 1.0), SimTask("b", "gpu", 2.0)]
+        )
+        cp = critical_path(result)
+        assert [(s.name, s.gate) for s in cp.segments] == [("a", "start"), ("b", "resource")]
+        assert cp.length == result.makespan == 3.0
+
 
 def test_analyze_iteration_bundle(engine):
     analysis = analyze_iteration(engine, 64, 1)

@@ -17,6 +17,7 @@ from repro.check.schedule import (
     Violation,
     require_valid,
     validate_kv_ledger,
+    validate_resource_chain,
     validate_schedule,
     validate_server_run,
 )
@@ -210,6 +211,58 @@ class TestScheduleChecks:
         assert [v.check for v in validate_schedule(tampered, dag)] == [
             "dependency-order"
         ]
+
+
+class TestResourceChain:
+    def test_diamond_keeps_the_chain(self):
+        assert validate_resource_chain(diamond_tasks()) == []
+
+    def test_descent_through_other_resources_counts(self):
+        tasks = [
+            SimTask("a", "gpu", 1.0),
+            SimTask("x", "pcie", 1.0, deps=("a",)),
+            SimTask("y", "cpu", 1.0, deps=("x",)),
+            SimTask("b", "gpu", 1.0, deps=("y",)),
+        ]
+        assert validate_resource_chain(tasks) == []
+
+    def test_independent_tasks_on_one_resource_break_it(self):
+        tasks = [
+            SimTask("a", "gpu", 1.0),
+            SimTask("b", "cpu", 1.0),
+            SimTask("c", "gpu", 1.0, deps=("b",)),
+        ]
+        (violation,) = validate_resource_chain(tasks)
+        assert (violation.check, violation.task) == ("resource-chain", "c")
+        assert "'a'" in violation.message
+
+    def test_engine_dags_keep_the_chain_on_perturbed_machines(self):
+        from repro.bench.runner import ENGINE_CLASSES, make_engine
+        from repro.check.verify import ITERATION_POINTS
+
+        for engine_name in sorted(ENGINE_CLASSES):
+            engine = make_engine(engine_name, "opt-6.7b", "pc-low", "int4")
+            for kind in FaultKind.THROUGHPUT:
+                machine = FaultSchedule(
+                    [FaultEvent(kind, start=0.0, duration=1.0, magnitude=4.0)]
+                ).perturbed_machine(engine.machine, 0.5)
+                for _, ctx, n_tokens, batch in ITERATION_POINTS:
+                    tasks = engine.iteration_tasks(machine, ctx, n_tokens, batch)
+                    assert validate_resource_chain(tasks) == [], engine_name
+
+    def test_schedule_verification_runs_the_rule(self, monkeypatch):
+        from repro.check.verify import _iteration_cases
+        from repro.engine.baselines import LlamaCppEngine
+
+        original = LlamaCppEngine.iteration_tasks
+
+        def with_stray_task(self, *args, **kwargs):
+            return original(self, *args, **kwargs) + [SimTask("stray", "gpu", 1e-3)]
+
+        monkeypatch.setattr(LlamaCppEngine, "iteration_tasks", with_stray_task)
+        failed = [c for c in _iteration_cases(quick=True) if c["status"] == "fail"]
+        assert failed and all("/llama.cpp/" in c["case"] for c in failed)
+        assert {v["check"] for c in failed for v in c["violations"]} == {"resource-chain"}
 
 
 class TestKvLedger:

@@ -79,6 +79,11 @@ class TestRequestAssembly:
             with pytest.raises(ValueError):
                 stub.simulate_request(*bad)
 
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_decode_samples_below_one_rejected(self, stub, samples):
+        with pytest.raises(ValueError, match="decode_samples must be >= 1"):
+            stub.simulate_request(16, 8, decode_samples=samples)
+
 
 class TestMachineArgument:
     def test_pricing_leaves_the_engine_machine_alone(self, mini_plan_none):

@@ -84,3 +84,7 @@ class TestSpeculativeEngine:
     def test_invalid_request(self, spec_engine):
         with pytest.raises(ValueError):
             spec_engine.simulate_request(0, 8)
+
+    def test_decode_samples_below_one_rejected(self, spec_engine):
+        with pytest.raises(ValueError, match="decode_samples must be >= 1"):
+            spec_engine.simulate_request(16, 8, decode_samples=0)

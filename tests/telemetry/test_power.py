@@ -156,6 +156,8 @@ class TestRequestEnergy:
             request_energy(engine, 0, 128)
         with pytest.raises(ValueError):
             request_energy(engine, 64, 0)
+        with pytest.raises(ValueError, match="decode_samples must be >= 1"):
+            request_energy(engine, 16, 8, decode_samples=0)
 
 
 class TestTracerEnergy:

@@ -100,13 +100,13 @@ class TestBatchedServing:
     def test_each_distinct_iteration_priced_once(self, mini_plan, traced):
         engine = PowerInferEngine(mini_plan)
         priced = []
-        simulate = engine.simulate_iteration
+        price = engine.price_iteration
 
         def spy(*args, **kwargs):
             priced.append(args)
-            return simulate(*args, **kwargs)
+            return price(*args, **kwargs)
 
-        engine.simulate_iteration = spy
+        engine.price_iteration = spy
         server = ContinuousServer(
             engine,
             policy="static",
