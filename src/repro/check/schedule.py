@@ -10,7 +10,7 @@ invariants the simulator promises —
 * no task starts before every dependency has finished;
 * on every resource, each task of a DAG is a descendant of the previous
   task on that resource (the ``resource-chain`` rule, which makes the
-  longest-path pass of :mod:`repro.hardware.events` exact);
+  forward pass of :mod:`repro.hardware.events` exact);
 * durations are finite and non-negative;
 * each task's :class:`~repro.hardware.costmodel.TaskCost` components sum
   to its scheduled duration (the attribution contract);

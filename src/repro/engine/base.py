@@ -3,16 +3,16 @@
 Every engine — PowerInfer and the baselines — implements
 :meth:`PerfEngine.iteration_tasks`, producing the operator DAG for a single
 inference iteration (one token block) at a given context length, priced on
-a given machine, and :meth:`PerfEngine.context_durations`, re-pricing the
-few tasks of that DAG whose work reads the context.
+a given machine, and :meth:`PerfEngine.context_work`, the work of the few
+tasks of that DAG that read the context.
 :meth:`PerfEngine.simulate_iteration` builds such a DAG and schedules it on
-the GPU/CPU/PCIe resources by the longest-path pass of
-:mod:`repro.hardware.events`; what-if knobs, attribution and tracing price
-through it.  :meth:`PerfEngine.price_iteration` is the serving cost cache's
-entry point: a miss that needs only a makespan re-prices the context tasks
-of a memoized DAG shape instead of building the DAG again.  The base class
-also assembles end-to-end request results (prompt phase + generation
-phase, paper Section 2.1).
+the GPU/CPU/PCIe resources via the discrete-event simulator; what-if knobs,
+attribution and tracing price through it.
+:meth:`PerfEngine.price_iteration` is the serving cost cache's entry point:
+a miss that needs only a makespan re-prices the context tasks of a
+memoized DAG shape and takes its longest path instead of building and
+scheduling the DAG again.  The base class also assembles end-to-end
+request results (prompt phase + generation phase, paper Section 2.1).
 
 Generation-phase cost varies (slowly, via the KV cache) with context
 length, so :meth:`simulate_request` samples the per-token DAG at a few
@@ -32,11 +32,11 @@ from repro.engine.plan import DeploymentPlan
 from repro.engine.results import RequestResult
 from repro.hardware.costmodel import CostModel, OpWork
 from repro.hardware.events import (
+    EventSimulator,
     ScheduleResult,
     SimTask,
     dag_arrays,
     forward_pass,
-    longest_path,
 )
 from repro.units import Bytes, Flops, Ratio, Seconds
 
@@ -121,10 +121,12 @@ class PerfEngine(ABC):
     """An inference engine whose execution is costed on the simulator."""
 
     name = "base"
-    #: Tags of the tasks whose work reads ``ctx_len``.  The DAG's structure
-    #: and every other task's duration depend on (plan, machine, n_tokens,
-    #: batch) alone.  Empty for an engine that cannot re-price them, which
-    #: then builds a fresh DAG on every cost-cache miss.
+    #: Tags of the tasks whose work reads ``ctx_len``: operator tasks, each
+    #: priced on the device its resource names (``machine.gpu`` or
+    #: ``machine.cpu``).  The DAG's structure and every other task's
+    #: duration depend on (plan, machine, n_tokens, batch) alone.  Empty
+    #: for an engine that cannot re-price them, which then builds a fresh
+    #: DAG on every cost-cache miss.
     context_tags: tuple[str, ...] = ()
 
     def __init__(self, plan: DeploymentPlan) -> None:
@@ -160,14 +162,11 @@ class PerfEngine(ABC):
                 expected values are used (deterministic).
         """
 
-    def context_durations(
-        self, machine: "MachineSpec", ctx_len: int, n_tokens: int, batch: int
-    ) -> list[Seconds]:
-        """Durations of the tasks tagged :attr:`context_tags`, in DAG order.
+    def context_work(self, ctx_len: int, n_tokens: int, batch: int) -> list[OpWork]:
+        """Work of the tasks tagged :attr:`context_tags`, in DAG order.
 
-        Each must equal the duration :meth:`iteration_tasks` gives that
-        task (expected activations, no ``rng``): both price the same work
-        formula with :meth:`CostModel.op_cost`.
+        Each must be the work :meth:`iteration_tasks` gives that task
+        (expected activations, no ``rng``), from the same formula.
         """
         raise NotImplementedError(f"{type(self).__name__} cannot re-price context tasks")
 
@@ -225,9 +224,7 @@ class PerfEngine(ABC):
     ) -> ScheduleResult:
         """Schedule one iteration's DAG; returns the timing result.
 
-        The schedule is the list scheduler's, built by one longest-path
-        pass (:func:`~repro.hardware.events.longest_path`).  ``machine``
-        prices this one iteration on a spec other than the
+        ``machine`` prices this one iteration on a spec other than the
         plan's (the default): a fault epoch's perturbed machine (see
         :class:`~repro.serving.continuous.IterationCostCache`) or a
         what-if knob.  It is handed to :meth:`iteration_tasks`; the engine
@@ -249,7 +246,7 @@ class PerfEngine(ABC):
         tasks = self.iteration_tasks(
             self.machine if machine is None else machine, ctx_len, n_tokens, batch, rng
         )
-        result = longest_path(tasks, RESOURCES)
+        result = EventSimulator(list(RESOURCES)).run(tasks)
         if validate:
             # Imported lazily: repro.check is diagnostic tooling, and the
             # default (validate=False) path must not pay for it.
@@ -276,9 +273,9 @@ class PerfEngine(ABC):
         is priced as a shape: the first miss of each (plan, ``machine``,
         ``n_tokens``, ``batch``) builds the DAG and memoizes its topology
         and durations, and later misses re-price only the context tasks
-        (:meth:`context_durations`) before one
-        :func:`~repro.hardware.events.forward_pass`.  Either way the
-        makespan is bit for bit the list scheduler's.
+        (:meth:`context_work`, on the device of each task's resource)
+        before one :func:`~repro.hardware.events.forward_pass`.  Either way
+        the makespan is bit for bit the list scheduler's.
         """
         if keep_schedule:
             result = self.simulate_iteration(ctx_len, n_tokens, batch, machine=machine)
@@ -300,9 +297,15 @@ class PerfEngine(ABC):
                 memo.shapes[key] = (topology, np.array(durations))
         else:
             topology, stored = shape
+            resources = topology.resources
             stored.put(
                 topology.context,
-                self.context_durations(machine, ctx_len, n_tokens, batch),
+                [
+                    CostModel.op_cost(work, getattr(machine, RESOURCES[resources[i]])).duration
+                    for i, work in zip(
+                        topology.context, self.context_work(ctx_len, n_tokens, batch)
+                    )
+                ],
             )
             durations = stored.tolist()
             arrays = topology.deps, topology.resources

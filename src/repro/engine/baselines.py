@@ -28,11 +28,11 @@ import numpy as np
 
 from repro.engine.base import PerfEngine, op_task, transfer_task
 from repro.engine.plan import DeploymentPlan
-from repro.hardware.costmodel import CostModel, OpWork
+from repro.hardware.costmodel import OpWork
 from repro.hardware.events import SimTask
 from repro.hardware.memory import OutOfMemoryError
-from repro.hardware.spec import DeviceSpec, MachineSpec
-from repro.units import Bytes, Flops, Seconds
+from repro.hardware.spec import MachineSpec
+from repro.units import Bytes, Flops
 
 __all__ = [
     "LlamaCppEngine",
@@ -46,9 +46,8 @@ __all__ = [
 class _LayerEngine(PerfEngine):
     """An engine that runs each layer as one task folding in its KV work.
 
-    Every layer task reads the context, so :meth:`context_durations`
-    re-prices them all, with the :meth:`_layer_work` formula their DAG
-    uses.
+    Every layer task reads the context, so :meth:`context_work` returns
+    them all, from the :meth:`_layer_work` formula their DAG uses.
     """
 
     def _layer_work(
@@ -76,20 +75,10 @@ class _LayerEngine(PerfEngine):
         """Expected weight FLOPs and bytes of every layer."""
         return [self._dense_weights(rows)] * self.model.n_layers
 
-    def _layer_devices(self, machine: MachineSpec) -> list[DeviceSpec]:
-        """The device running each layer."""
-        return [machine.gpu] * self.model.n_layers
-
-    def context_durations(
-        self, machine: MachineSpec, ctx_len: int, n_tokens: int, batch: int
-    ) -> list[Seconds]:
+    def context_work(self, ctx_len: int, n_tokens: int, batch: int) -> list[OpWork]:
         return [
-            CostModel.op_cost(
-                self._layer_work(flops, nbytes, ctx_len, n_tokens, batch), device
-            ).duration
-            for (flops, nbytes), device in zip(
-                self._layer_weights(n_tokens * batch), self._layer_devices(machine)
-            )
+            self._layer_work(flops, nbytes, ctx_len, n_tokens, batch)
+            for flops, nbytes in self._layer_weights(n_tokens * batch)
         ]
 
 
@@ -144,20 +133,12 @@ class _LayerSplitMixin:
         n = int(budget // (layer_bytes + kv_per_layer))
         return max(0, min(n, plan.model.n_layers))
 
-    def _split_devices(self, machine: MachineSpec) -> list[DeviceSpec]:
-        """CPU layers first, then GPU layers (Figure 3b)."""
-        n_gpu = self.gpu_layer_count()
-        return [machine.cpu] * (self.plan.model.n_layers - n_gpu) + [machine.gpu] * n_gpu
-
 
 class LlamaCppEngine(_LayerSplitMixin, _LayerEngine):
     """Dense layer-level hybrid offloading (paper Figure 3b)."""
 
     name = "llama.cpp"
     context_tags = ("cpu-dense", "gpu-dense")
-
-    def _layer_devices(self, machine: MachineSpec) -> list[DeviceSpec]:
-        return self._split_devices(machine)
 
     def iteration_tasks(
         self,
@@ -415,9 +396,6 @@ class LayerwiseSparseEngine(_LayerSplitMixin, _SparseLayerEngine):
 
     name = "+PO"
     context_tags = ("cpu-neuron", "gpu-neuron")
-
-    def _layer_devices(self, machine: MachineSpec) -> list[DeviceSpec]:
-        return self._split_devices(machine)
 
     def iteration_tasks(
         self,

@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.engine.base import PerfEngine, op_task, transfer_task
-from repro.hardware.costmodel import CostModel, OpWork
-from repro.units import Seconds
+from repro.hardware.costmodel import OpWork
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports; tasks are built
     # exclusively through the op_task/transfer_task pricing constructors.
@@ -63,13 +62,9 @@ class PowerInferEngine(PerfEngine):
             bytes_written=self._activation_bytes(n_tokens * batch),
         )
 
-    def context_durations(
-        self, machine: "MachineSpec", ctx_len: int, n_tokens: int, batch: int
-    ) -> list[Seconds]:
+    def context_work(self, ctx_len: int, n_tokens: int, batch: int) -> list[OpWork]:
         return [
-            CostModel.op_cost(
-                self._attn_ctx_work(ctx_len, n_tokens, batch, ag + ac), machine.cpu
-            ).duration
+            self._attn_ctx_work(ctx_len, n_tokens, batch, ag + ac)
             for ag, ac, _, _ in self._splits(n_tokens * batch)
         ]
 

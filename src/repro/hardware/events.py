@@ -19,10 +19,10 @@ engine lists its tasks in dependency order, and on every resource each task
 is a descendant of the previous one (the ``resource-chain`` rule of
 :mod:`repro.check.schedule`).  A task then never waits for its device, so
 its start is the longest path to it.  :func:`forward_pass` computes exactly
-that in one walk over the list, and :func:`longest_path` builds from it the
-:class:`ScheduleResult` the list scheduler would build, bit for bit.  Any
-DAG the walk cannot vouch for goes to :class:`EventSimulator`, which stays
-the fall-back and the oracle of the tests.
+those starts and ends in one walk over the list, bit for bit the list
+scheduler's; the serving cost cache prices a makespan with it.  Any DAG the
+walk cannot vouch for goes to :class:`EventSimulator`, which builds every
+:class:`ScheduleResult` and stays the fall-back and the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "EventSimulator",
     "dag_arrays",
     "forward_pass",
-    "longest_path",
 ]
 
 
@@ -342,55 +341,3 @@ def forward_pass(
         ends[i] = end
         free[resource] = end
     return starts, ends
-
-
-def longest_path(tasks: list[SimTask], resources: Sequence[str]) -> ScheduleResult:
-    """What ``EventSimulator(resources).run(tasks)`` returns, by one
-    :func:`forward_pass` where that is exact.
-
-    The result is built in the list scheduler's own order: tasks enter
-    ``ScheduleResult.tasks`` in the order its ready queue would pop them
-    (earliest start, then the order they became ready), and ``busy_time``
-    and ``tag_time`` sum the durations in that order.  A DAG the pass
-    cannot vouch for is handed to :meth:`EventSimulator.run`.
-    """
-    arrays = dag_arrays(tasks, resources)
-    times = None if arrays is None else forward_pass(*arrays, [t.duration for t in tasks])
-    if times is None:
-        return EventSimulator(list(resources)).run(tasks)
-    deps, _ = arrays
-    starts, ends = times
-
-    indegree = [len(d) for d in deps]
-    dependents: list[list[int]] = [[] for _ in tasks]
-    for i, task_deps in enumerate(deps):
-        for j in task_deps:
-            dependents[j].append(i)
-    ready = [(0.0, k, i) for k, i in enumerate(i for i, d in enumerate(indegree) if d == 0)]
-    counter = itertools.count(len(ready))
-
-    results: dict[str, TaskResult] = {}
-    busy = {name: 0.0 for name in resources}
-    tag_time: dict[str, float] = {}
-    while ready:
-        _, _, i = heapq.heappop(ready)
-        task = tasks[i]
-        results[task.name] = TaskResult(
-            name=task.name,
-            resource=task.resource,
-            start=starts[i],
-            end=ends[i],
-            tag=task.tag,
-            cost=task.cost,
-            deps=tuple(dict.fromkeys(task.deps)),
-        )
-        busy[task.resource] += task.duration
-        if task.tag:
-            tag_time[task.tag] = tag_time.get(task.tag, 0.0) + task.duration
-        for child in dependents[i]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, (starts[child], next(counter), child))
-    return ScheduleResult(
-        tasks=results, makespan=max(ends, default=0.0), busy_time=busy, tag_time=tag_time
-    )

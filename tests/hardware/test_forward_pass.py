@@ -1,9 +1,9 @@
-"""The longest-path pass against the list scheduler, its oracle.
+"""The forward pass against the list scheduler, its oracle.
 
-``longest_path`` must return exactly what ``EventSimulator.run`` returns:
-the same makespan, every start and end, the tasks in the same order, and
-``busy_time`` and ``tag_time`` summed in the same order.  On engine DAGs it
-must get there without falling back to the list scheduler.
+Where ``forward_pass`` returns times, every start and end must be the one
+``EventSimulator.run`` gives, bit for bit, and so the makespan too.  On
+engine DAGs it must return them; on any other DAG it returns ``None``, and
+``PerfEngine.price_iteration`` falls back to the list scheduler.
 """
 
 from __future__ import annotations
@@ -15,30 +15,27 @@ from hypothesis import strategies as st
 from repro.bench.runner import make_engine
 from repro.check.schedule import validate_resource_chain
 from repro.check.verify import ITERATION_POINTS, _iteration_grid
-from repro.engine.base import RESOURCES
-from repro.hardware.events import (
-    EventSimulator,
-    SimTask,
-    dag_arrays,
-    forward_pass,
-    longest_path,
-)
+from repro.engine.base import RESOURCES, PerfEngine
+from repro.hardware.events import EventSimulator, SimTask, dag_arrays, forward_pass
 from repro.hardware.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.hardware.memory import OutOfMemoryError
 
 
-def assert_same_schedule(actual, expected):
-    assert list(actual.tasks.items()) == list(expected.tasks.items())
-    assert actual.makespan == expected.makespan
-    assert list(actual.busy_time.items()) == list(expected.busy_time.items())
-    assert list(actual.tag_time.items()) == list(expected.tag_time.items())
+def pass_times(tasks):
+    """The pass's ``(starts, ends)`` of ``tasks``, or ``None`` to fall back."""
+    arrays = dag_arrays(tasks, RESOURCES)
+    return None if arrays is None else forward_pass(*arrays, [t.duration for t in tasks])
 
 
-def passes_without_fallback(tasks, resources=RESOURCES) -> bool:
-    arrays = dag_arrays(tasks, resources)
-    return arrays is not None and (
-        forward_pass(*arrays, [t.duration for t in tasks]) is not None
-    )
+def assert_matches_list_scheduler(tasks):
+    times = pass_times(tasks)
+    assert times is not None, "the pass fell back"
+    starts, ends = times
+    expected = EventSimulator(list(RESOURCES)).run(tasks)
+    assert {t.name: (s, e) for t, s, e in zip(tasks, starts, ends)} == {
+        name: (r.start, r.end) for name, r in expected.tasks.items()
+    }
+    assert max(ends, default=0.0) == expected.makespan
 
 
 def machines_under_faults(machine):
@@ -65,40 +62,48 @@ def test_engine_dags_match_the_list_scheduler(engine_name, model, machine, dtype
     shapes = [(ctx, n, b) for _, ctx, n, b in ITERATION_POINTS] + [(192, 1, 8), (40, 32, 1)]
     for spec in machines_under_faults(engine.machine):
         for ctx, n_tokens, batch in shapes:
-            tasks = engine.iteration_tasks(spec, ctx, n_tokens, batch)
-            assert passes_without_fallback(tasks), (spec.name, ctx, n_tokens, batch)
-            assert_same_schedule(
-                longest_path(tasks, RESOURCES), EventSimulator(list(RESOURCES)).run(tasks)
-            )
+            assert_matches_list_scheduler(engine.iteration_tasks(spec, ctx, n_tokens, batch))
 
 
-def test_simulate_iteration_is_the_list_schedule(mini_plan):
-    from repro.engine.powerinfer import PowerInferEngine
+class _FixedDagEngine(PerfEngine):
+    """An engine whose every iteration is one hand-built DAG."""
 
-    engine = PowerInferEngine(mini_plan)
-    tasks = engine.iteration_tasks(engine.machine, 96, 1, 3)
-    assert_same_schedule(
-        engine.simulate_iteration(96, 1, 3), EventSimulator(list(RESOURCES)).run(tasks)
+    name = "fixed-dag"
+
+    def __init__(self, plan, tasks) -> None:
+        super().__init__(plan)
+        self.tasks = tasks
+
+    def iteration_tasks(self, machine, ctx_len, n_tokens, batch, rng=None):
+        return list(self.tasks)
+
+
+def untraced_price(plan, tasks):
+    makespan, schedule = _FixedDagEngine(plan, tasks).price_iteration(
+        0, 1, keep_schedule=False
     )
+    assert schedule is None
+    return makespan
 
 
 class TestFallBack:
-    def test_two_independent_tasks_on_one_resource(self):
+    def test_two_independent_tasks_on_one_resource(self, mini_plan):
+        """The ``resource-chain`` rule fails, the pass falls back, and the
+        price is the list scheduler's (not the longest path, 2.0)."""
         tasks = [SimTask("a", "gpu", 1.0), SimTask("b", "gpu", 2.0)]
         assert [v.check for v in validate_resource_chain(tasks)] == ["resource-chain"]
-        assert not passes_without_fallback(tasks)
-        result = longest_path(tasks, RESOURCES)
-        assert_same_schedule(result, EventSimulator(list(RESOURCES)).run(tasks))
-        assert result.tasks["b"].start == 1.0
+        assert pass_times(tasks) is None
+        expected = EventSimulator(list(RESOURCES)).run(tasks)
+        assert expected.makespan == 3.0
+        assert untraced_price(mini_plan, tasks) == expected.makespan
 
-    def test_task_listed_before_its_dependency(self):
+    def test_task_listed_before_its_dependency(self, mini_plan):
         tasks = [SimTask("b", "cpu", 2.0, deps=("a",)), SimTask("a", "gpu", 1.0)]
-        assert not passes_without_fallback(tasks)
-        assert_same_schedule(
-            longest_path(tasks, RESOURCES), EventSimulator(list(RESOURCES)).run(tasks)
-        )
+        assert pass_times(tasks) is None
+        expected = EventSimulator(list(RESOURCES)).run(tasks)
+        assert untraced_price(mini_plan, tasks) == expected.makespan == 3.0
 
-    def test_zero_length_task_tie(self):
+    def test_zero_length_task_tie(self, mini_plan):
         """``t`` is listed before ``u`` on one resource, but ``u`` becomes
         ready first at the same instant; with ``t`` of zero length the walk
         would find the resource free, yet the list scheduler runs ``u``
@@ -109,10 +114,10 @@ class TestFallBack:
             SimTask("t", "pcie", 0.0, deps=("b",)),
             SimTask("u", "pcie", 1.0, deps=("a",)),
         ]
-        assert not passes_without_fallback(tasks)
+        assert pass_times(tasks) is None
         expected = EventSimulator(list(RESOURCES)).run(tasks)
         assert expected.tasks["t"].start == 2.0
-        assert_same_schedule(longest_path(tasks, RESOURCES), expected)
+        assert untraced_price(mini_plan, tasks) == expected.makespan
 
     @pytest.mark.parametrize(
         "tasks,message",
@@ -124,12 +129,14 @@ class TestFallBack:
             ([SimTask("a", "gpu", -1.0)], "non-negative"),
         ],
     )
-    def test_bad_dags_fail_as_in_the_list_scheduler(self, tasks, message):
+    def test_bad_dags_fail_as_in_the_list_scheduler(self, mini_plan, tasks, message):
+        assert pass_times(tasks) is None
         with pytest.raises(ValueError, match=message):
-            longest_path(tasks, RESOURCES)
+            untraced_price(mini_plan, tasks)
 
     def test_empty_dag(self):
-        assert_same_schedule(longest_path([], RESOURCES), EventSimulator(list(RESOURCES)).run([]))
+        assert pass_times([]) == ([], [])
+        assert EventSimulator(list(RESOURCES)).run([]).makespan == 0.0
 
 
 @st.composite
@@ -138,8 +145,7 @@ def chain_dags(draw):
 
     Tasks are listed in dependency order.  Each depends on the previous
     task on its resource (which makes the rule hold) and on a random
-    subset of earlier tasks; tags repeat across resources so that tag
-    sums depend on the list scheduler's order.
+    subset of earlier tasks.
     """
     n = draw(st.integers(min_value=1, max_value=24))
     tasks: list[SimTask] = []
@@ -155,7 +161,6 @@ def chain_dags(draw):
                 resource,
                 draw(st.floats(min_value=1e-6, max_value=1.0)),
                 deps=tuple(deps),
-                tag=draw(st.sampled_from(("", "x", "y"))),
             )
         )
         last_on[resource] = f"t{i}"
@@ -166,7 +171,4 @@ def chain_dags(draw):
 @given(chain_dags())
 def test_random_chain_dags_match_the_list_scheduler(tasks):
     assert validate_resource_chain(tasks) == []
-    assert passes_without_fallback(tasks)
-    assert_same_schedule(
-        longest_path(tasks, RESOURCES), EventSimulator(list(RESOURCES)).run(tasks)
-    )
+    assert_matches_list_scheduler(tasks)
